@@ -22,14 +22,16 @@ from .conditions import (
     annular_bump,
     balance_upper_supremum,
     classify_trend,
+    corpus_norms,
     doubling_search,
     make_corpus,
+    operator_images,
     operator_norm_lower_bound,
     power_admissible_integral,
     power_admissible_maximal,
     sweep_power_blocks,
 )
-from .grid import DomainError, Grid, GridFunction, function_from_spec
+from .grid import DomainError, Grid, GridFunction, function_from_spec, parse_center
 from .norms import (
     ExponentSet,
     dyadic_weighted_morrey_norm,
@@ -104,6 +106,9 @@ def load_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
                                        float(e.get("alpha", 0.0)))
         except DomainError as err:
             raise ConfigError(f"$.exponents: {err}") from err
+    options = dict(doc.get("options", {}))
+    if "center" in options:
+        options["center"] = parse_center(options["center"])
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(doc.get("tolerances", {}))
     return ExperimentConfig(
@@ -113,7 +118,7 @@ def load_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
         out_dir=Path(doc.get("out", "reports")),
         fidelity=doc.get("fidelity"),
         exponents=exps,
-        options=doc.get("options", {}),
+        options=options,
         tolerances=tolerances,
     )
 
@@ -335,6 +340,25 @@ SWEEP_HEADER = ["rho", "maximal_admissible", "integral_admissible", "balance_cla
                 "balance_agrees", "kappa_agrees", "allowed_miss", "passed"]
 
 
+def sweep_power_levels(cfg: ExperimentConfig) -> tuple[list[int], list[int]]:
+    """Depths of the balance trend and of the operator-norm classes.
+
+    The defaults, [L-2, L, L+2] and [L-2, L], are those of acceptance
+    criterion 4: near the admissibility boundary the certified balance
+    estimator converges too slowly for a classification from coarser depths.
+    """
+    depth = cfg.grid.depth
+    levels = list(cfg.options.get("levels", [depth - 2, depth, depth + 2]))
+    op_levels = list(cfg.options.get("op_levels", [depth - 2, depth]))
+    for key, depths in (("levels", levels), ("op_levels", op_levels)):
+        for L in depths:
+            try:
+                Grid(cfg.grid.ndim, L)
+            except DomainError as err:
+                raise ConfigError(f"$.options.{key}: {err}") from err
+    return levels, op_levels
+
+
 def run_sweep_power(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict, int]:
     """Power-weight sweep: analytic admissibility predicates against the
     measured balance-product trend and the doubling search, plus operator-norm
@@ -347,8 +371,7 @@ def run_sweep_power(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict,
     rho_min = float(cfg.options.get("rho_min", -0.5))
     rho_max = float(cfg.options.get("rho_max", 1.0))
     rho_step = float(cfg.options.get("rho_step", 1.0 / 16.0))
-    levels = list(cfg.options.get("levels", [max(4, grid.depth - 4), max(6, grid.depth - 2), grid.depth]))
-    op_levels = list(cfg.options.get("op_levels", levels[-2:]))
+    levels, op_levels = sweep_power_levels(cfg)
     center = cfg.options.get("center", 0.5 if n == 1 else (0.5, 0.5))
     stable_tol = cfg.tolerances["stable_tol"]
     blowup_tol = cfg.tolerances["blowup_tol"]
@@ -358,17 +381,27 @@ def run_sweep_power(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict,
     rhos = [rho_min + k * rho_step for k in range(n_steps)]
     boundaries = [(-n + exps.lam) / exps.q, (n * (exps.p - 1) + exps.lam) / exps.p]
 
+    # The power blocks, the corpora and their images T f do not depend on rho.
+    balance_grids = [(g, sweep_power_blocks(g, exps.lam, center))
+                     for g in (Grid(n, L) for L in levels)]
+    op_tags = ("fractional_maximal", "fractional_integral")
+    op_grids = []
+    if with_operators:
+        for L in op_levels:
+            g = Grid(n, L)
+            corpus = make_corpus(g, cfg.seed, n_indicators=2, n_point_masses=1,
+                                 n_power_bumps=1, n_random_fields=2)
+            op_grids.append((g, corpus, {tag: operator_images(tag, corpus, exps.alpha)
+                                         for tag in op_tags}))
+
     rows, failures = [], 0
     for rho in rhos:
         pred_m = power_admissible_maximal(rho, exps)
         pred_i = power_admissible_integral(rho, exps)
 
-        values = []
-        for L in levels:
-            g = Grid(n, L)
-            w = power_weight(g, rho, center=center)
-            blocks = sweep_power_blocks(g, exps.lam, center)
-            values.append(balance_upper_supremum(w, exps, blocks).interval.upper)
+        values = [balance_upper_supremum(power_weight(g, rho, center=center), exps,
+                                         blocks).interval.upper
+                  for g, blocks in balance_grids]
         trend = classify_trend(values, stable_tol=stable_tol, blowup_tol=blowup_tol)
         balance_stable = trend.label == "stable"
 
@@ -378,16 +411,16 @@ def run_sweep_power(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict,
 
         op_classes = {}
         if with_operators:
-            for tag in ("fractional_maximal", "fractional_integral"):
-                vals = []
-                for L in op_levels:
-                    g = Grid(n, L)
-                    w = power_weight(g, rho, center=center)
-                    corpus = make_corpus(g, cfg.seed, n_indicators=2, n_point_masses=1,
-                                         n_power_bumps=1, n_random_fields=2)
-                    vals.append(operator_norm_lower_bound(tag, w, exps, corpus).ratio)
-                op_classes[tag] = classify_trend(vals, stable_tol=stable_tol,
-                                                 blowup_tol=blowup_tol).label
+            op_values = {tag: [] for tag in op_tags}
+            for g, corpus, images in op_grids:
+                w = power_weight(g, rho, center=center)
+                dens = corpus_norms(w, exps, corpus)
+                for tag in op_tags:
+                    op_values[tag].append(operator_norm_lower_bound(
+                        tag, w, exps, corpus, images=images[tag], dens=dens).ratio)
+            op_classes = {tag: classify_trend(vals, stable_tol=stable_tol,
+                                              blowup_tol=blowup_tol).label
+                          for tag, vals in op_values.items()}
 
         balance_agrees = balance_stable == pred_m.admissible
         kappa_agrees = kappa_found == (exps.q * rho > -n + exps.lam + 1e-12)

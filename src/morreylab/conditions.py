@@ -21,7 +21,17 @@ from .content import (
     block_norm_upper,
     make_block,
 )
-from .grid import Cube, DomainError, Fidelity, Grid, GridFunction, dilate, dyadic_cubes, require_weight
+from .grid import (
+    Cube,
+    DomainError,
+    Fidelity,
+    Grid,
+    GridFunction,
+    dilate,
+    dilate_intervals,
+    dyadic_cubes,
+    require_weight,
+)
 from .norms import ExponentSet, IntervalNormTable, morrey_norm
 from .operators import fractional_integral, fractional_maximal
 
@@ -227,29 +237,61 @@ class DoublingCheck:
 
 
 def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
-                  fidelity: Fidelity | None = None) -> DoublingCheck:
+                  fidelity: Fidelity | None = None,
+                  table: IntervalNormTable | None = None) -> DoublingCheck:
     """Check 2 ||w 1_Q|| <= ||w 1_{kappa Q}|| over dyadic Q whose kappa-dilate
-    stays inside the root (unclipped), in the (q, q0) Morrey scale."""
+    stays inside the root (unclipped), in the (q, q0) Morrey scale.
+
+    In 1D the norms come from w's IntervalNormTable in that scale; a caller
+    that checks many kappa passes it as `table` so it is built once.  The
+    witness is the first cube attaining the minimal ratio, in dyadic_cubes
+    order.
+    """
     require_weight(w)
     if kappa <= 1:
         raise DomainError(f"need kappa > 1, got {kappa}")
     grid = w.grid
-    table = IntervalNormTable(w, q, q0) if grid.ndim == 1 else None
+    if grid.ndim == 1:
+        return _norm_doubling_1d(table if table is not None else IntervalNormTable(w, q, q0),
+                                 kappa)
     worst, worst_cube, count = math.inf, None, 0
     for cube in dyadic_cubes(grid):
         big = dilate(cube, kappa)
         if big.clipped:
             continue
         count += 1
-        if table is not None:
-            num = table.value(big.lo[0], big.hi[0])
-            den = table.value(cube.lo[0], cube.hi[0])
-        else:
-            num = morrey_norm(w, q, q0, fidelity, support=big).value
-            den = morrey_norm(w, q, q0, fidelity, support=cube).value
+        num = morrey_norm(w, q, q0, fidelity, support=big).value
+        den = morrey_norm(w, q, q0, fidelity, support=cube).value
         ratio = num / den
         if ratio < worst:
             worst, worst_cube = ratio, cube
+    if count == 0:
+        raise DomainError(f"no admissible cube: kappa={kappa} too large for the grid")
+    return DoublingCheck(worst >= 2.0 * (1 - 1e-12), worst_cube, worst, kappa, count)
+
+
+def _norm_doubling_1d(table: IntervalNormTable, kappa: float) -> DoublingCheck:
+    """norm_doubling on a 1D grid, one dyadic level at a time.
+
+    A level's first arg-min replaces the level's cubes only on strict
+    improvement, which is the tie order of a loop over dyadic_cubes.
+    """
+    grid = table.grid
+    n = grid.cells_per_side
+    worst, worst_cube, count = math.inf, None, 0
+    for level in range(grid.depth + 1):
+        side = n >> level
+        lo = np.arange(0, n, side)
+        big_lo, big_hi = dilate_intervals(lo, lo + side, kappa)
+        inside = np.flatnonzero((big_lo >= 0) & (big_hi <= n))
+        if inside.size == 0:
+            continue
+        count += inside.size
+        ratio = (table.values(big_lo[inside], big_hi[inside])
+                 / table.values(lo[inside], lo[inside] + side))
+        k = int(np.argmin(ratio))
+        if ratio[k] < worst:
+            worst, worst_cube = float(ratio[k]), grid.dyadic_cube(level, (int(inside[k]),))
     if count == 0:
         raise DomainError(f"no admissible cube: kappa={kappa} too large for the grid")
     return DoublingCheck(worst >= 2.0 * (1 - 1e-12), worst_cube, worst, kappa, count)
@@ -273,10 +315,11 @@ def doubling_search(w: GridFunction, q: float, q0: float,
     or none if the grid is exhausted."""
     grid = w.grid
     kappas = kappa_grid if kappa_grid is not None else doubling_kappa_grid(grid)
+    table = IntervalNormTable(w, q, q0) if grid.ndim == 1 else None
     checks = []
     for kappa in kappas:
         try:
-            chk = norm_doubling(w, q, q0, kappa, fidelity)
+            chk = norm_doubling(w, q, q0, kappa, fidelity, table)
         except DomainError:
             break
         checks.append(chk)
@@ -379,22 +422,44 @@ class OperatorNormEstimate:
     per_function: tuple[tuple[str, float], ...]
 
 
+def operator_images(op_tag: str, corpus: TestCorpus, alpha: float,
+                    fidelity: Fidelity | None = None) -> tuple[GridFunction, ...]:
+    """T f for every corpus entry.  It does not depend on the weight, so a
+    sweep over weights computes it once per corpus."""
+    if op_tag == "fractional_maximal":
+        return tuple(fractional_maximal(f, alpha, fidelity).result for _, f in corpus.entries)
+    if op_tag == "fractional_integral":
+        return tuple(fractional_integral(f, alpha).result for _, f in corpus.entries)
+    raise DomainError(f"unknown operator tag {op_tag!r}")
+
+
+def corpus_norms(w: GridFunction, exps: ExponentSet, corpus: TestCorpus,
+                 fidelity: Fidelity | None = None) -> tuple[float, ...]:
+    """||f w||_{p, lam} for every corpus entry: the denominators of every
+    operator's ratio."""
+    return tuple(morrey_norm(f * w, exps.p, exps.p0, fidelity).value for _, f in corpus.entries)
+
+
 def operator_norm_lower_bound(op_tag: str, w: GridFunction, exps: ExponentSet,
                               corpus: TestCorpus,
-                              fidelity: Fidelity | None = None) -> OperatorNormEstimate:
-    """sup over the corpus of ||(T f) w||_{q, lam} / ||f w||_{p, lam}."""
+                              fidelity: Fidelity | None = None, *,
+                              images: tuple[GridFunction, ...] | None = None,
+                              dens: tuple[float, ...] | None = None) -> OperatorNormEstimate:
+    """sup over the corpus of ||(T f) w||_{q, lam} / ||f w||_{p, lam}.
+
+    A caller that sweeps weights or operators over one corpus may pass the
+    images T f (`operator_images`) and the denominators (`corpus_norms`) it
+    already holds; they are computed here otherwise.
+    """
     require_weight(w)
     if not corpus.entries:
         raise DomainError("empty corpus")
+    if images is None:
+        images = operator_images(op_tag, corpus, exps.alpha, fidelity)
+    if dens is None:
+        dens = corpus_norms(w, exps, corpus, fidelity)
     best, best_name, rows = -math.inf, None, []
-    for name, f in corpus.entries:
-        if op_tag == "fractional_maximal":
-            tf = fractional_maximal(f, exps.alpha, fidelity).result
-        elif op_tag == "fractional_integral":
-            tf = fractional_integral(f, exps.alpha).result
-        else:
-            raise DomainError(f"unknown operator tag {op_tag!r}")
-        den = morrey_norm(f * w, exps.p, exps.p0, fidelity).value
+    for (name, _), tf, den in zip(corpus.entries, images, dens):
         num = morrey_norm(tf * w, exps.q, exps.q0, fidelity).value
         if den == 0 and num == 0:
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,28 +131,30 @@ def choquet_integral(phi: GridFunction, lam: float) -> float:
 class BlockCertificate:
     """A candidate block: weight with unit Choquet integral, constants recorded.
 
-    Membership in the block class is certified by choquet <= 1 (+ slack);
-    the A1 constant is recorded for reporting and is infinite for blocks that
-    vanish somewhere (indicator blocks).
+    Membership in the block class is certified by choquet <= 1 (+ slack).
+    The A1 constant (in the cube family `fidelity`) is for reporting: it is
+    computed on first read, because a full family sweep costs more than the
+    block itself, and it is infinite for blocks that vanish somewhere
+    (indicator blocks).
     """
 
     weight: GridFunction
     lam: float
     choquet: float
-    a1_constant: float
     label: str = ""
+    fidelity: Fidelity | None = None
 
     @property
     def is_member(self) -> bool:
         return self.choquet <= 1.0 + EXACT_SLACK
 
+    @cached_property
+    def a1_constant(self) -> float:
+        if np.any(self.weight.values <= 0):
+            return math.inf
+        from .weights import ap_constant
 
-def _grid_a1(b: GridFunction, fidelity: Fidelity | None) -> float:
-    if np.any(b.values <= 0):
-        return math.inf
-    from .weights import ap_constant
-
-    return ap_constant(b, 1.0, fidelity).value
+        return ap_constant(self.weight, 1.0, self.fidelity).value
 
 
 def make_block(grid: Grid, lam: float, kind: str, *,
@@ -204,8 +207,7 @@ def make_block(grid: Grid, lam: float, kind: str, *,
         raise DomainError("block shape is identically zero")
     b = base * (1.0 / raw)
     cho = choquet_integral(b, lam)
-    return BlockCertificate(weight=b, lam=lam, choquet=cho,
-                            a1_constant=_grid_a1(b, fidelity), label=label)
+    return BlockCertificate(weight=b, lam=lam, choquet=cho, label=label, fidelity=fidelity)
 
 
 def default_blocks(grid: Grid, lam: float, *,

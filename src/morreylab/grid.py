@@ -248,6 +248,20 @@ def dilate(cube: Cube, factor: float) -> Cube:
                 nominal_side_cells=nominal)
 
 
+def dilate_intervals(lo: np.ndarray, hi: np.ndarray,
+                     factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """`dilate` along one axis for arrays of cell intervals [lo, hi), unclipped.
+
+    The ends are snapped with the float operations of `dilate`, so they agree
+    with it exactly; clipping is left to the caller (an end below 0 or above
+    cells_per_side).
+    """
+    c = (lo + hi) / 2.0
+    half = factor * (hi - lo) / 2.0
+    return (np.floor(c - half + _SNAP_TOL).astype(np.int64),
+            np.ceil(c + half - _SNAP_TOL).astype(np.int64))
+
+
 def dyadic_cubes(grid: Grid, region: Cube | None = None) -> list[Cube]:
     """All dyadic cubes contained in `region` (default root), region included."""
     if region is None:
@@ -445,6 +459,12 @@ def function_from_doc(text: str) -> GridFunction:
     return GridFunction(grid, vals)
 
 
+def parse_center(value):
+    """A centre as read from JSON: a list (one coordinate per axis) becomes the
+    tuple that the rasterizers and block builders take; a scalar is kept."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 def function_from_spec(grid: Grid, spec: dict) -> GridFunction:
     """Rasterize a symbolic function declaration.
 
@@ -468,6 +488,6 @@ def function_from_spec(grid: Grid, spec: dict) -> GridFunction:
     if kind == "power":
         from .weights import PowerWeightSpec
 
-        center = spec.get("center", 0.0)
+        center = parse_center(spec.get("center", 0.0))
         return PowerWeightSpec(rho=spec["rho"], center=center).rasterize(grid)
     raise DomainError(f"unknown function spec kind {kind!r}")

@@ -313,3 +313,12 @@ class IntervalNormTable:
 
     def value(self, lo: int, hi: int) -> float:
         return float(self._rows[hi - lo][lo])
+
+    def values(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """`value` over arrays of intervals [lo[k], hi[k])."""
+        width = hi - lo
+        out = np.empty(width.shape)
+        for s in np.unique(width):
+            sel = width == s
+            out[sel] = self._rows[s][lo[sel]]
+        return out

@@ -7,9 +7,13 @@ paths can be checked against them exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from morreylab.grid import Grid, GridFunction, iter_family
+from morreylab.conditions import DoublingCheck
+from morreylab.grid import Grid, GridFunction, dilate, dyadic_cubes, iter_family
+from morreylab.norms import IntervalNormTable
 
 
 def cube_mean(values: np.ndarray, cube) -> float:
@@ -112,3 +116,21 @@ def brute_choquet_riemann(phi: GridFunction, lam: float, steps: int = 4000) -> f
     for t in ts:
         total += hausdorff_content(phi.grid, phi.values > t, lam).value * dt
     return total
+
+
+def brute_norm_doubling_1d(table: IntervalNormTable, kappa: float) -> DoublingCheck | None:
+    """The 1D doubling check as a loop over dyadic cubes and their scalar
+    dilates, keeping the first cube with the smallest ratio; None when every
+    dilate is clipped."""
+    worst, worst_cube, count = math.inf, None, 0
+    for cube in dyadic_cubes(table.grid):
+        big = dilate(cube, kappa)
+        if big.clipped:
+            continue
+        count += 1
+        ratio = table.value(big.lo[0], big.hi[0]) / table.value(cube.lo[0], cube.hi[0])
+        if ratio < worst:
+            worst, worst_cube = ratio, cube
+    if count == 0:
+        return None
+    return DoublingCheck(worst >= 2.0 * (1 - 1e-12), worst_cube, worst, kappa, count)

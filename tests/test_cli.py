@@ -1,8 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from morreylab.cli import ConfigError, load_config, main, run
+from morreylab import cli
+from morreylab.cli import (
+    SWEEP_HEADER,
+    ConfigError,
+    load_config,
+    main,
+    run,
+    run_sweep_power,
+    sweep_power_levels,
+)
+from morreylab.grid import Grid, function_from_spec
+from morreylab.weights import power_weight
 
 
 BASE = {"experiment": "universal", "grid": {"n": 1, "L": 5}, "seed": 42,
@@ -99,6 +111,70 @@ def test_sweep_power_small(tmp_path):
     assert failures == 0
     rows = (tmp_path / "sweep-power.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 3
+
+
+# Rows of the sweep below from the implementation that rebuilt the power
+# blocks, the operator corpora and the doubling norm tables for every rho;
+# building them once must not change a bit.  rho straddles the lower boundary
+# -1/8, and the doubling kappa is found at 1/16 only.
+PINNED_SWEEP_ROWS = [
+    (-0.25, False, False, 'indeterminate',
+     '1.40600508894|1.67804520986|1.99647830863', 'none',
+     'stable', 'stable', True, True, False, True),
+    (-0.1875, False, False, 'stable',
+     '1.19163924977|1.30285251372|1.421332054', 'none',
+     'stable', 'stable', False, True, True, True),
+    (-0.125, True, False, 'stable',
+     '1.04746015365|1.0562246366|1.06006845139', 'none',
+     'stable', 'stable', True, True, False, True),
+    (-0.0625, True, True, 'stable',
+     '1.01090940027|1.01241826685|1.01288632417', 'none',
+     'stable', 'stable', True, False, True, True),
+    (0.0, True, True, 'stable',
+     '1|1|1', 'none',
+     'stable', 'stable', True, False, False, False),
+    (0.0625, True, True, 'stable',
+     '1.00957911458|1.01138504403|1.01161555106', 215.2694823049509,
+     'stable', 'stable', True, True, False, True),
+]
+
+
+def test_sweep_power_rows_pinned():
+    cfg = load_config({
+        "experiment": "sweep-power", "grid": {"n": 1, "L": 8}, "seed": 2718,
+        "exponents": {"p": 2.0, "p0": 4.0, "alpha": 0.125},
+        "options": {"rho_min": -0.25, "rho_max": 0.125, "rho_step": 0.0625,
+                    "levels": [4, 6, 8], "op_levels": [6, 8]},
+    })
+    _, rows, summary, failures = run_sweep_power(cfg)
+    assert [tuple(row[col] for col in SWEEP_HEADER) for row in rows] == PINNED_SWEEP_ROWS
+    assert failures == summary["failures"] == 1
+
+
+def test_sweep_power_cli_defaults(tmp_path, monkeypatch):
+    # resolve the defaults of `morreylab sweep-power` without running the sweep
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return SWEEP_HEADER, [], {}, 0
+
+    monkeypatch.setitem(cli.RUNNERS, "sweep-power", (SWEEP_HEADER, capture))
+    assert main(["sweep-power", "--out", str(tmp_path)]) == 0
+    assert sweep_power_levels(seen[0]) == ([8, 10, 12], [8, 10])
+    with pytest.raises(ConfigError, match=r"\$\.options\.levels"):
+        sweep_power_levels(load_config({"experiment": "sweep-power",
+                                        "grid": {"n": 1, "L": 1}, "seed": 1}))
+
+
+def test_list_center_is_a_tuple():
+    g = Grid(2, 4)
+    spec = {"kind": "power", "rho": 0.3, "center": [0.5, 0.5]}
+    assert np.array_equal(function_from_spec(g, spec).values,
+                          power_weight(g, 0.3, center=(0.5, 0.5)).values)
+    cfg = load_config({"experiment": "sweep-power", "grid": {"n": 2, "L": 4}, "seed": 1,
+                       "options": {"center": [0.25, 0.5]}})
+    assert cfg.options["center"] == (0.25, 0.5)
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from morreylab.conditions import (
+    DoublingSearch,
     annular_bump,
     annular_bump_growth,
     balance_product,
     balance_upper_supremum,
     classify_trend,
+    doubling_kappa_grid,
     doubling_search,
     local_block_condition,
     make_corpus,
@@ -21,10 +23,10 @@ from morreylab.conditions import (
 )
 from morreylab.content import make_block
 from morreylab.grid import DomainError, Grid, GridFunction, dilate, dyadic_cubes
-from morreylab.norms import ExponentSet
+from morreylab.norms import ExponentSet, IntervalNormTable
 from morreylab.weights import power_weight
 
-from bruteforce import brute_fractional_maximal, brute_morrey_norm
+from bruteforce import brute_fractional_maximal, brute_morrey_norm, brute_norm_doubling_1d
 from conftest import random_function
 
 WORKED = ExponentSet.coupled(1, 2.0, 4.0, 0.125)
@@ -116,6 +118,38 @@ class TestDoubling:
         w = GridFunction.constant(g, 1.0)
         with pytest.raises(DomainError):
             norm_doubling(w, WORKED.q, WORKED.q0, 1000.0)
+
+    @pytest.mark.parametrize("depth, rhos", [(5, (-0.375, 0.3)), (6, (-0.125, 0.5)),
+                                             (7, (0.0, -0.25)), (8, (0.0625, 0.9)),
+                                             (9, (-0.0625, 0.25))])
+    def test_matches_per_cube_loop(self, depth, rhos, rng):
+        # every DoublingCheck field, at every kappa of the search grid; the
+        # constant and mirror-symmetric weights tie on many cubes
+        g = Grid(1, depth)
+        weights = [GridFunction.constant(g, 1.0), random_function(g, rng),
+                   power_weight(g, rhos[0], center=0.5), power_weight(g, rhos[1], center=0.3)]
+        kappas = doubling_kappa_grid(g)
+        # within the snap tolerance of 3, 5 and 6: it decides the dilates' ends
+        off_lattice = [3.0 + 1e-12, 5.0 + 1e-12, 6.0 - 1e-12]
+        for w in weights:
+            table = IntervalNormTable(w, WORKED.q, WORKED.q0)
+            checks = {}
+            for kappa in kappas + off_lattice:
+                checks[kappa] = brute_norm_doubling_1d(table, kappa)
+                if checks[kappa] is None:
+                    with pytest.raises(DomainError):
+                        norm_doubling(w, WORKED.q, WORKED.q0, kappa, table=table)
+                else:
+                    assert norm_doubling(w, WORKED.q, WORKED.q0, kappa, table=table) == checks[kappa]
+            expected = []
+            for kappa in kappas:
+                if checks[kappa] is None:
+                    break
+                expected.append(checks[kappa])
+                if checks[kappa].ok:
+                    break
+            found = expected[-1].kappa if expected[-1].ok else None
+            assert doubling_search(w, WORKED.q, WORKED.q0) == DoublingSearch(found, tuple(expected))
 
     def test_boundary_power_weight_fails(self):
         g = Grid(1, 10)

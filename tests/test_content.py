@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from morreylab import weights
 from morreylab.content import (
     ConvergenceError,
     block_norm_dual,
@@ -143,6 +144,24 @@ class TestBlocks:
         cert = make_block(g, 0.5, "power", center=0.0, exponent=0.5)
         assert cert.choquet == pytest.approx(1.0, abs=1e-9)
         assert cert.a1_constant >= 1.0
+
+    @pytest.mark.parametrize("fidelity", [None, "dyadic", "shifted"])
+    def test_a1_constant_computed_on_first_read(self, monkeypatch, fidelity):
+        real = weights.ap_constant
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "ap_constant", counting)
+        g = Grid(1, 6)
+        cert = make_block(g, 0.5, "power", center=0.5, exponent=0.25, fidelity=fidelity)
+        assert calls == []
+        expected = real(cert.weight, 1.0, fidelity).value
+        assert cert.a1_constant == expected
+        assert cert.a1_constant == expected
+        assert len(calls) == 1
 
     def test_zero_block_rejected(self, grid1d):
         with pytest.raises(DomainError):
