@@ -1,12 +1,28 @@
-"""Vectorized prefix-sum and sliding-extreme kernels shared by the sweeps.
+"""Array kernels shared by every cube-family sweep, in any dimension.
 
 These are the hot loops of the package: every norm, maximal operator, and
-Muckenhoupt constant reduces to window sums and window extrema over cell
-arrays.  All helpers operate along axis 0 and broadcast over trailing axes so
-the 2D code can reuse them separably.
+Muckenhoupt constant reduces to window sums, window extrema, or dyadic block
+sums over cell arrays.  Two orders are fixed here, and every reported value
+depends on them bit for bit:
+
+- **Sum order.**  Box sums come from an integral image with the terms in the
+  order P[hi,hi] - P[lo,hi] - P[hi,lo] + P[lo,lo], where axis 0 takes its
+  lower end first (`window_sums_2d`).  Dyadic block sums reshape and sum all
+  of a block's axes at once (`level_sums`); summing one axis at a time would
+  round differently.  Only extrema, which are exact, are taken one axis at a
+  time (`per_axis`).
+- **Tie order.**  `ArgSup` keeps the first maximum of each block of values
+  (row-major) and replaces the best only on strict improvement.  Fed sides
+  ascending and start lists in order, ties resolve to the smallest cube
+  address.
+
+The prefix-sum and window-sum kernels exist once per dimension, because the
+1D forms are cheaper; `window_kernels` picks them once per call.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -24,20 +40,79 @@ def window_sums_1d(prefix: np.ndarray, width: int) -> np.ndarray:
 
 
 def prefix_sum_2d(values: np.ndarray) -> np.ndarray:
-    """Integral image with a zero border; shape (N+1, N+1)."""
+    """Integral image with a zero border; shape (N0+1, N1+1)."""
     out = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=np.float64)
     np.cumsum(np.cumsum(values, axis=0), axis=1, out=out[1:, 1:])
     return out
 
 
 def window_sums_2d(prefix: np.ndarray, width: int) -> np.ndarray:
-    """Sums over every width x width window; shape (N-width+1, N-width+1)."""
+    """Sums over every width x width window; shape (N0-width+1, N1-width+1)."""
     w = width
     return (prefix[w:, w:] - prefix[:-w, w:] - prefix[w:, :-w] + prefix[:-w, :-w])
 
 
-def box_sum_2d(prefix: np.ndarray, lo0: int, hi0: int, lo1: int, hi1: int) -> float:
-    return float(prefix[hi0, hi1] - prefix[lo0, hi1] - prefix[hi0, lo1] + prefix[lo0, lo1])
+def window_kernels(ndim: int):
+    """The (prefix_sum, window_sums) kernels of one dimension."""
+    if ndim == 1:
+        return prefix_sum_1d, window_sums_1d
+    return prefix_sum_2d, window_sums_2d
+
+
+def level_sums(values: np.ndarray, level: int, ndim: int) -> np.ndarray:
+    """Sums over the dyadic blocks of one level: 2^level blocks along each of
+    the last `ndim` axes (leading axes are a batch)."""
+    k = 1 << level
+    s = values.shape[-1] // k
+    if s == 2 and ndim == 1:
+        # a pair adds as a + b either way; slicing is ~4x faster than reducing
+        # a length-2 axis, and the content DP pools pairs at every level
+        return values[..., 0::2] + values[..., 1::2]
+    lead = values.ndim - ndim
+    blocks = values.reshape(values.shape[:lead] + (k, s) * ndim)
+    return blocks.sum(axis=tuple(range(lead + 1, lead + 2 * ndim, 2)))
+
+
+def broadcast_level(vals: np.ndarray, side: int) -> np.ndarray:
+    """A per-block array of one dyadic level as a per-cell array: every entry
+    repeated `side` times along every axis."""
+    for axis in range(vals.ndim):
+        vals = np.repeat(vals, side, axis=axis)
+    return vals
+
+
+def tripled_sums(block: np.ndarray) -> np.ndarray:
+    """Sum of each block with its (clipped) neighbours: the integral over 3Q.
+    The 3^n terms are added in row-major offset order."""
+    padded = np.pad(block, 1)
+    out = np.zeros_like(block)
+    for offset in itertools.product(range(3), repeat=block.ndim):
+        out += padded[tuple(slice(d, d + m) for d, m in zip(offset, block.shape))]
+    return out
+
+
+class ArgSup:
+    """Running arg-sup over blocks of values, offered in sweep order.
+
+    `offer(vals, key)` keeps the first maximum of `vals` in row-major order
+    and replaces the best so far only on strict improvement; `key` and
+    `index` (the position in its block) record where the best was found.
+    """
+
+    __slots__ = ("value", "key", "index")
+
+    def __init__(self) -> None:
+        self.value = -np.inf
+        self.key = None
+        self.index: tuple = ()
+
+    def offer(self, vals: np.ndarray, key) -> None:
+        k = int(np.argmax(vals))
+        v = vals.flat[k]
+        if v > self.value:
+            self.value = float(v)
+            self.key = key
+            self.index = np.unravel_index(k, vals.shape)
 
 
 def sliding_extreme(arr: np.ndarray, width: int, kind: str = "max") -> np.ndarray:
@@ -82,3 +157,12 @@ def covering_window_extreme(window_vals: np.ndarray, width: int, n_cells: int,
         np.full(pad_shape, pad_val),
     ], axis=0)
     return sliding_extreme(padded, width, kind=kind)
+
+
+def per_axis(kernel, arr: np.ndarray, *args) -> np.ndarray:
+    """Apply a kernel that works along axis 0 to every axis in turn (exact for
+    extremes, whose value does not depend on the order)."""
+    out = kernel(arr, *args)
+    for axis in range(1, arr.ndim):
+        out = np.swapaxes(kernel(np.swapaxes(out, 0, axis), *args), 0, axis)
+    return out

@@ -22,6 +22,7 @@ from .conditions import (
     annular_bump,
     balance_upper_supremum,
     classify_trend,
+    condition_report,
     corpus_norms,
     doubling_search,
     make_corpus,
@@ -178,8 +179,6 @@ def run_norms(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict, int]:
                          "value": resd.value, "witness": _cube_repr(resd.cube),
                          "provenance": "dyadic", "passed": ""})
     if with_conditions:
-        from .conditions import condition_report
-
         for wi, wspec in enumerate(weights):
             w = function_from_spec(cfg.grid, wspec)
             rep = condition_report(w, exps, fidelity=cfg.fidelity)

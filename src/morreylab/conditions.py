@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._windows import prefix_sum_1d
+from ._windows import prefix_sum_1d, window_kernels
 from .content import (
     BlockCertificate,
     ConvergenceError,
@@ -27,6 +27,7 @@ from .grid import (
     Fidelity,
     Grid,
     GridFunction,
+    center_distance,
     dilate,
     dilate_intervals,
     dyadic_cubes,
@@ -34,6 +35,7 @@ from .grid import (
 )
 from .norms import ExponentSet, IntervalNormTable, morrey_norm
 from .operators import fractional_integral, fractional_maximal
+from .weights import ap_constant
 
 
 @dataclass(frozen=True)
@@ -54,24 +56,6 @@ class BalanceResult:
     block_lower: float | None
 
 
-def _restricted_norm(w: GridFunction, q: float, q0: float, cube: Cube,
-                     fidelity: Fidelity | None) -> float:
-    return morrey_norm(w, q, q0, fidelity, support=cube).value
-
-
-def _indicator_block_upper(w_neg_pc_prefix, lam: float, pc: float, cube: Cube,
-                           grid: Grid, cellvol: float) -> float:
-    """Best dyadic-indicator block for w^-1 restricted to a dyadic cube: the
-    cube's own block, in closed form."""
-    if grid.ndim == 1:
-        s = float(w_neg_pc_prefix[cube.hi[0]] - w_neg_pc_prefix[cube.lo[0]]) * cellvol
-    else:
-        p = w_neg_pc_prefix
-        s = float(p[cube.hi[0], cube.hi[1]] - p[cube.lo[0], cube.hi[1]]
-                  - p[cube.hi[0], cube.lo[1]] + p[cube.lo[0], cube.lo[1]]) * cellvol
-    return (cube.side_length ** (lam * (pc - 1.0)) * s) ** (1.0 / pc)
-
-
 def balance_product(w: GridFunction, exps: ExponentSet, cube: Cube,
                     power_blocks: list[BlockCertificate] | None = None,
                     with_dual: bool = False, dual_tol: float = 0.05,
@@ -90,16 +74,14 @@ def balance_product(w: GridFunction, exps: ExponentSet, cube: Cube,
     pc = exps.p_conj
     cellvol = grid.cell_volume
     prefactor = cube.volume ** (exps.alpha / grid.ndim - 1.0)
-    norm_part = _restricted_norm(w, exps.q, exps.q0, cube, fidelity)
+    norm_part = morrey_norm(w, exps.q, exps.q0, fidelity, support=cube).value
 
+    # the best dyadic-indicator block for w^-1 on the cube is the cube's own
     w_neg = w.power(-1.0)
-    if grid.ndim == 1:
-        pref = prefix_sum_1d(w_neg.values**pc)
-    else:
-        from ._windows import prefix_sum_2d
-
-        pref = prefix_sum_2d(w_neg.values**pc)
-    upper_block = _indicator_block_upper(pref, exps.lam, pc, cube, grid, cellvol)
+    prefix_sum, window_sums = window_kernels(grid.ndim)
+    corners = tuple(slice(a, b + 1) for a, b in zip(cube.lo, cube.hi))
+    s = window_sums(prefix_sum(w_neg.values**pc)[corners], cube.side_cells).item() * cellvol
+    upper_block = (cube.side_length ** (exps.lam * (pc - 1.0)) * s) ** (1.0 / pc)
     provenance = {"upper": "candidate blocks (dyadic indicators closed form)"}
     if power_blocks:
         g_q = w_neg.restrict(cube)
@@ -215,8 +197,6 @@ def local_block_condition(w: GridFunction, block: BlockCertificate,
             break
         best = max(best, m1 ** (1.0 / exps.q) * m2 ** (1.0 / pc))
     local_value = best / base.side_length ** (exps.lam / exps.p)
-
-    from .weights import ap_constant
 
     if np.any(modified <= 0):
         a_s = math.inf
@@ -366,7 +346,7 @@ def norm_attainment_ratio(w: GridFunction, exps: ExponentSet, cube: Cube,
     |Q|^(1/q0) (avg_Q w^q)^(1/q); always >= 1."""
     require_weight(w)
     grid = w.grid
-    num = _restricted_norm(w, exps.q, exps.q0, cube, fidelity)
+    num = morrey_norm(w, exps.q, exps.q0, fidelity, support=cube).value
     mean = float((w.values[cube.slices] ** exps.q).sum()) * grid.cell_volume / cube.volume
     den = cube.volume ** (1.0 / exps.q0) * mean ** (1.0 / exps.q)
     return num / den
@@ -399,12 +379,7 @@ def make_corpus(grid: Grid, seed: int,
     for i in range(n_power_bumps):
         cube = random_dyadic_cube()
         s = float(rng.uniform(0.1, 0.9)) * grid.ndim
-        centers = grid.cell_centers()
-        c = cube.center
-        if grid.ndim == 1:
-            d = np.abs(centers[..., 0] - c[0])
-        else:
-            d = np.hypot(centers[..., 0] - c[0], centers[..., 1] - c[1])
+        d = center_distance(grid, cube.center)
         vals = np.where(cube.mask(), np.maximum(d, grid.cell_side) ** (-s), 0.0)
         entries.append((f"power_bump_{i}", GridFunction(grid, vals)))
     for i in range(n_random_fields):
@@ -481,12 +456,7 @@ def annular_bump(grid: Grid, m: int, cube: Cube, alpha: float) -> GridFunction:
     mask = outer.mask() & ~inner.mask()
     if not mask.any():
         raise DomainError("annulus geometry infeasible on this grid")
-    centers = grid.cell_centers()
-    c = cube.center
-    if grid.ndim == 1:
-        d = np.abs(centers[..., 0] - c[0])
-    else:
-        d = np.hypot(centers[..., 0] - c[0], centers[..., 1] - c[1])
+    d = center_distance(grid, cube.center)
     vals = np.where(mask, np.where(d > 0, d, 1.0) ** (-alpha), 0.0)
     return GridFunction(grid, vals)
 

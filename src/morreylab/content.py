@@ -15,8 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Cube, DomainError, Fidelity, Grid, GridFunction, dyadic_cubes
-from .norms import lambda_to_p0, morrey_norm
+from ._windows import level_sums
+from .grid import Cube, DomainError, Fidelity, Grid, GridFunction, center_distance, dyadic_cubes
+from .norms import lambda_to_p0, morrey_norm, morrey_norm_lambda
 
 EXACT_SLACK = 1e-9
 
@@ -36,13 +37,6 @@ class ContentValue:
     cover: tuple[Cube, ...]
 
 
-def _pool_children(arr: np.ndarray, ndim: int) -> np.ndarray:
-    if ndim == 1:
-        return arr[0::2] + arr[1::2]
-    m = arr.shape[0] // 2
-    return arr.reshape(m, 2, m, 2).sum(axis=(1, 3))
-
-
 def hausdorff_content(grid: Grid, mask: np.ndarray, lam: float) -> ContentValue:
     """Exact dyadic-cover content of a cell set, with an optimal cover.
 
@@ -57,18 +51,14 @@ def hausdorff_content(grid: Grid, mask: np.ndarray, lam: float) -> ContentValue:
         raise DomainError("mask shape mismatch")
     h = grid.cell_side
     costs = np.where(m, h**lam, 0.0)
-    nonempty = m.copy()
     take = []  # per level (leaf .. root): True where the single cube is optimal
     take.append(np.ones(grid.shape, dtype=bool))
     for level in range(grid.depth - 1, -1, -1):
-        side = (grid.cells_per_side >> level) * h
-        child_sum = _pool_children(costs, grid.ndim)
-        child_any = _pool_children(nonempty.astype(np.int64), grid.ndim) > 0
-        own = side**lam
-        use_own = child_any & (own <= child_sum + 1e-15)
-        costs = np.where(child_any, np.minimum(own, child_sum), 0.0)
-        nonempty = child_any
-        take.append(use_own)
+        own = ((grid.cells_per_side >> level) * h) ** lam
+        child_sum = level_sums(costs, level, grid.ndim)
+        take.append(own <= child_sum + 1e-15)
+        # an empty node has child_sum == 0, so it costs min(own, 0) = 0
+        costs = np.minimum(own, child_sum)
     take.reverse()  # take[level] indexed by dyadic coords at that level
 
     total = float(costs.reshape(-1)[0])
@@ -93,21 +83,16 @@ def hausdorff_content(grid: Grid, mask: np.ndarray, lam: float) -> ContentValue:
 
 
 def _content_values_batched(grid: Grid, masks: np.ndarray, lam: float) -> np.ndarray:
-    """Dyadic contents of many cell sets at once (no covers); masks shape (K,) + grid.shape."""
+    """Dyadic contents of many cell sets at once (no covers); masks shape (K,) + grid.shape.
+
+    The same tree DP as `hausdorff_content`, with the same pooling, so each
+    value equals that function's value bit for bit.
+    """
     h = grid.cell_side
     costs = np.where(masks, h**lam, 0.0)
-    nonempty = masks.copy()
     for level in range(grid.depth - 1, -1, -1):
-        side = (grid.cells_per_side >> level) * h
-        if grid.ndim == 1:
-            child_sum = costs[:, 0::2] + costs[:, 1::2]
-            child_any = nonempty[:, 0::2] | nonempty[:, 1::2]
-        else:
-            m = costs.shape[1] // 2
-            child_sum = costs.reshape(-1, m, 2, m, 2).sum(axis=(2, 4))
-            child_any = nonempty.reshape(-1, m, 2, m, 2).any(axis=(2, 4))
-        costs = np.where(child_any, np.minimum(side**lam, child_sum), 0.0)
-        nonempty = child_any
+        own = ((grid.cells_per_side >> level) * h) ** lam
+        costs = np.minimum(own, level_sums(costs, level, grid.ndim))
     return costs.reshape(len(masks))
 
 
@@ -183,13 +168,7 @@ def make_block(grid: Grid, lam: float, kind: str, *,
         if not 0 < exponent < grid.ndim:
             raise DomainError("power block exponent must lie in (0, n)")
         eps = grid.cell_side if eps is None else eps
-        centers = grid.cell_centers()
-        if grid.ndim == 1:
-            c = float(center) if not isinstance(center, tuple) else center[0]
-            d = np.abs(centers[..., 0] - c)
-        else:
-            cx, cy = center if isinstance(center, tuple) else (float(center),) * 2
-            d = np.hypot(centers[..., 0] - cx, centers[..., 1] - cy)
+        d = center_distance(grid, center)
         base = GridFunction(grid, np.maximum(d, eps) ** (-exponent))
         label = label or f"pow[{center},{exponent:.3g}]"
     elif kind == "custom":
@@ -273,8 +252,6 @@ def morrey_norm_via_blocks(f: GridFunction, p: float, lam: float,
         if v > best:
             best, best_b = v, cert
     value = best ** (1.0 / p)
-    from .norms import morrey_norm_lambda
-
     norm = morrey_norm_lambda(f, p, lam, fidelity).value
     return BlocksNormResult(value, best_b, value / norm if norm > 0 else None)
 

@@ -14,12 +14,15 @@ All objects are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
+
+from ._windows import ArgSup
 
 Fidelity = Literal["dyadic", "aligned", "shifted"]
 
@@ -92,11 +95,8 @@ class Grid:
 
     def cell_centers(self) -> np.ndarray:
         """Cell-center coordinates, shape grid.shape + (ndim,)."""
-        ax = self.axis_centers()
-        if self.ndim == 1:
-            return ax[:, None]
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([xx, yy], axis=-1)
+        axes = np.meshgrid(*(self.axis_centers(),) * self.ndim, indexing="ij")
+        return np.stack(axes, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,8 @@ class Cube:
         if s == 1:
             return []
         half = s // 2
-        offs = [(0,), (half,)] if self.grid.ndim == 1 else [
-            (0, 0), (0, half), (half, 0), (half, half)
-        ]
         out = []
-        for off in offs:
+        for off in itertools.product((0, half), repeat=self.grid.ndim):
             lo = tuple(a + o for a, o in zip(self.lo, off))
             out.append(Cube(self.grid, lo, tuple(a + half for a in lo)))
         return out
@@ -272,13 +269,8 @@ def dyadic_cubes(grid: Grid, region: Cube | None = None) -> list[Cube]:
     for level in range(region.level, grid.depth + 1):
         side = grid.cells_per_side >> level
         ranges = [range(a // side, b // side) for a, b in zip(region.lo, region.hi)]
-        if grid.ndim == 1:
-            for i in ranges[0]:
-                out.append(grid.dyadic_cube(level, (i,)))
-        else:
-            for i in ranges[0]:
-                for j in ranges[1]:
-                    out.append(grid.dyadic_cube(level, (i, j)))
+        for coords in itertools.product(*ranges):
+            out.append(grid.dyadic_cube(level, coords))
     return out
 
 
@@ -319,18 +311,52 @@ def family_blocks(grid: Grid, fidelity: Fidelity,
 
 def iter_family(grid: Grid, fidelity: Fidelity,
                 max_side: int | None = None) -> Iterator[Cube]:
-    """Materialize the cube family (small grids / oracles only)."""
-    for s, starts in family_blocks(grid, fidelity, max_side):
-        if grid.ndim == 1:
-            for arr in starts:
-                for i in arr:
-                    yield grid.aligned_cube((int(i),), s)
-        else:
-            for arr_a in starts:
-                for arr_b in starts:
-                    for i in arr_a:
-                        for j in arr_b:
-                            yield grid.aligned_cube((int(i), int(j)), s)
+    """Materialize the cube family (small grids / oracles only), in sweep order:
+    sides ascending, start lists in order, lower corners row-major."""
+    for s, start_lists in family_blocks(grid, fidelity, max_side):
+        for starts in itertools.product(start_lists, repeat=grid.ndim):
+            for lo in itertools.product(*starts):
+                yield grid.aligned_cube(lo, s)
+
+
+@dataclass(frozen=True)
+class Supremum:
+    """A supremum over a cube family, with the cube that attains it."""
+
+    value: float
+    cube: Cube | None
+
+    def __float__(self) -> float:
+        return self.value
+
+
+def family_sup(grid: Grid, fidelity: Fidelity, window_values,
+               origin: Sequence[int] | None = None,
+               max_side: int | None = None) -> Supremum:
+    """Supremum over a cube family of per-window values, with the attaining cube.
+
+    `window_values(s)` returns the value of every s-sided window of a box whose
+    lower corner is `origin` (default the root's), indexed by the window's
+    corner relative to the box.  The aligned family takes every window of the
+    box; the others gather their corners (`family_blocks` over the root, so
+    they need the box to be the root).  Ties resolve in `iter_family` order:
+    the first attaining cube wins (`ArgSup`).
+    """
+    sup = ArgSup()
+    for s, start_lists in family_blocks(grid, fidelity, max_side):
+        vals = window_values(s)
+        if fidelity == "aligned":
+            sup.offer(vals, (s, None))
+            continue
+        for starts in itertools.product(start_lists, repeat=grid.ndim):
+            sup.offer(vals[np.ix_(*starts)], (s, starts))
+    if sup.key is None:
+        raise DomainError("empty cube family")
+    s, starts = sup.key
+    corner = sup.index if starts is None else [a[i] for a, i in zip(starts, sup.index)]
+    if origin is not None:
+        corner = [o + c for o, c in zip(origin, corner)]
+    return Supremum(sup.value, grid.aligned_cube(corner, s))
 
 
 class GridFunction:
@@ -457,6 +483,21 @@ def function_from_doc(text: str) -> GridFunction:
     grid = Grid(int(doc["n"]), int(doc["L"]))
     vals = np.asarray(doc["values"], dtype=np.float64).reshape(grid.shape)
     return GridFunction(grid, vals)
+
+
+def center_coords(grid: Grid, center) -> tuple:
+    """A centre as one coordinate per axis; a number is the same coordinate
+    on every axis."""
+    return center if isinstance(center, tuple) else (float(center),) * grid.ndim
+
+
+def center_distance(grid: Grid, center) -> np.ndarray:
+    """Euclidean distance of every cell centre from `center` (see center_coords)."""
+    c = center_coords(grid, center)
+    x = grid.cell_centers()
+    if grid.ndim == 1:
+        return np.abs(x[..., 0] - c[0])
+    return np.hypot(x[..., 0] - c[0], x[..., 1] - c[1])
 
 
 def parse_center(value):

@@ -1,10 +1,13 @@
 """Morrey norms and their weighted and dyadic variants.
 
 The underlying quantity is always a supremum over a cube family of scaled
-local averages.  Sweeps are vectorized per side length with prefix sums; the
-maximum is reduced deterministically (sides ascending, lower corners
-ascending, strict improvement wins) so results are run-to-run identical and
-ties resolve to the smallest cube address.
+local averages, swept once for any dimension by `grid.family_sup`: per side
+length, the window sums of an integral image, then a deterministic arg-sup
+(sides ascending, lower corners ascending, strict improvement wins), so
+results are run-to-run identical and ties resolve to the smallest cube
+address.  The order of every sum and the tie order are fixed in `_windows`.
+A restricted norm sweeps the support's own sub-array; its integral image
+equals that of the zero-extended function on the support exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._windows import prefix_sum_1d, prefix_sum_2d, window_sums_1d
-from .grid import Cube, DomainError, Fidelity, Grid, GridFunction, family_blocks, require_weight
+from ._windows import ArgSup, level_sums, prefix_sum_1d, window_kernels, window_sums_1d
+from .grid import Cube, DomainError, Fidelity, GridFunction, Supremum, family_sup, require_weight
 
 EXACT_SLACK = 1e-9
 COUPLING_TOL = 1e-12
@@ -82,68 +85,9 @@ def lambda_to_p0(p: float, lam: float, n: int) -> float:
     return p / (1.0 - lam / n)
 
 
-@dataclass(frozen=True)
-class NormResult:
-    value: float
-    cube: Cube | None
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _sweep_max_1d(grid: Grid, g: np.ndarray, coef, root_lo: int, root_hi: int,
-                  fidelity: Fidelity, exponent: float) -> tuple[float, tuple[int, int]]:
-    """max over family cubes inside [root_lo, root_hi) of coef(s) * wsum^exponent."""
-    prefix = prefix_sum_1d(g)
-    best, best_cube = -np.inf, None
-    max_side = root_hi - root_lo
-    for s, start_lists in family_blocks(grid, fidelity, max_side=max_side):
-        c = coef(s)
-        for starts in start_lists:
-            sel = starts[(starts >= root_lo) & (starts + s <= root_hi)]
-            if sel.size == 0:
-                continue
-            sums = prefix[sel + s] - prefix[sel]
-            vals = c * np.power(np.maximum(sums, 0.0), exponent)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                best_cube = (int(sel[k]), s)
-    if best_cube is None:
-        raise DomainError("empty cube family")
-    return best, best_cube
-
-
-def _sweep_max_2d(grid: Grid, g: np.ndarray, coef, lo: tuple[int, int],
-                  hi: tuple[int, int], fidelity: Fidelity,
-                  exponent: float) -> tuple[float, tuple[tuple[int, int], int]]:
-    prefix = prefix_sum_2d(g)
-    best, best_cube = -np.inf, None
-    max_side = min(hi[0] - lo[0], hi[1] - lo[1])
-    for s, start_lists in family_blocks(grid, fidelity, max_side=max_side):
-        c = coef(s)
-        for sa in start_lists:
-            for sb in start_lists:
-                ia = sa[(sa >= lo[0]) & (sa + s <= hi[0])]
-                ib = sb[(sb >= lo[1]) & (sb + s <= hi[1])]
-                if ia.size == 0 or ib.size == 0:
-                    continue
-                sums = (prefix[np.ix_(ia + s, ib + s)] - prefix[np.ix_(ia, ib + s)]
-                        - prefix[np.ix_(ia + s, ib)] + prefix[np.ix_(ia, ib)])
-                vals = c * np.power(np.maximum(sums, 0.0), exponent)
-                k = int(np.argmax(vals))
-                ki, kj = divmod(k, vals.shape[1])
-                if vals[ki, kj] > best:
-                    best = float(vals[ki, kj])
-                    best_cube = ((int(ia[ki]), int(ib[kj])), s)
-    if best_cube is None:
-        raise DomainError("empty cube family")
-    return best, best_cube
-
-
 def morrey_norm(f: GridFunction, p: float, p0: float,
                 fidelity: Fidelity | None = None,
-                support: Cube | None = None) -> NormResult:
+                support: Cube | None = None) -> Supremum:
     """sup over cubes Q of |Q|^(1/p0) (avg_Q |f|^p)^(1/p), with the attaining cube.
 
     If `support` is given the function is restricted to it and the supremum is
@@ -162,39 +106,32 @@ def morrey_norm(f: GridFunction, p: float, p0: float,
     h = grid.cell_side
     n = grid.ndim
     g = np.abs(f.values) ** p
+    origin = None
     if support is not None:
-        masked = np.zeros_like(g)
-        masked[support.slices] = g[support.slices]
-        g = masked
-        lo, hi = support.lo, support.hi
-    else:
-        lo, hi = (0,) * n, (grid.cells_per_side,) * n
-
+        g = g[support.slices]
+        origin = support.lo
+    prefix_sum, window_sums = window_kernels(n)
+    prefix = prefix_sum(g)
     cellvol = grid.cell_volume
 
-    def coef(s: int) -> float:
+    def window_values(s: int) -> np.ndarray:
         vol = (s * h) ** n
-        return vol ** (1.0 / p0) * (cellvol / vol) ** (1.0 / p)
+        c = vol ** (1.0 / p0) * (cellvol / vol) ** (1.0 / p)
+        return c * np.power(np.maximum(window_sums(prefix, s), 0.0), 1.0 / p)
 
-    if n == 1:
-        best, (start, s) = _sweep_max_1d(grid, g, coef, lo[0], hi[0], fid, 1.0 / p)
-        cube = grid.aligned_cube((start,), s)
-    else:
-        best, ((i, j), s) = _sweep_max_2d(grid, g, coef, lo, hi, fid, 1.0 / p)
-        cube = grid.aligned_cube((i, j), s)
-    return NormResult(best, cube)
+    return family_sup(grid, fid, window_values, origin, max_side=min(g.shape))
 
 
 def morrey_norm_lambda(f: GridFunction, p: float, lam: float,
                        fidelity: Fidelity | None = None,
-                       support: Cube | None = None) -> NormResult:
+                       support: Cube | None = None) -> Supremum:
     """Same supremum in the (p, lam) parameterization."""
     return morrey_norm(f, p, lambda_to_p0(p, lam, f.grid.ndim), fidelity, support)
 
 
 def weighted_morrey_norm(f: GridFunction, w: GridFunction, p: float, p0: float,
                          fidelity: Fidelity | None = None,
-                         support: Cube | None = None) -> NormResult:
+                         support: Cube | None = None) -> Supremum:
     """Norm of the pointwise product f*w; the weight must be strictly positive."""
     require_weight(w)
     return morrey_norm(f * w, p, p0, fidelity, support)
@@ -210,17 +147,8 @@ def weighted_lp_norm(f: GridFunction, w: GridFunction, p: float) -> float:
     return float(np.sum(np.abs(f.values) ** p * w.values) * f.grid.cell_volume) ** (1.0 / p)
 
 
-def _level_block_sums(values: np.ndarray, level: int, grid: Grid) -> np.ndarray:
-    """Sums of cell values over the dyadic cubes of one level (raw, no cell volume)."""
-    s = grid.cells_per_side >> level
-    if grid.ndim == 1:
-        return values.reshape(1 << level, s).sum(axis=1)
-    k = 1 << level
-    return values.reshape(k, s, k, s).sum(axis=(1, 3))
-
-
 def dyadic_weighted_morrey_norm(f: GridFunction, w: GridFunction, p: float,
-                                lam: float) -> NormResult:
+                                lam: float) -> Supremum:
     """sup over dyadic Q of ( w(Q)^(-lam/n) * int_Q |f|^p w )^(1/p)."""
     require_weight(w)
     grid = f.grid
@@ -228,32 +156,12 @@ def dyadic_weighted_morrey_norm(f: GridFunction, w: GridFunction, p: float,
         raise DomainError(f"need 0 < lam < n, got lam={lam}")
     cellvol = grid.cell_volume
     num = np.abs(f.values) ** p * w.values
-    best, best_cube = -np.inf, None
+    sup = ArgSup()
     for level in range(grid.depth + 1):
-        s_num = _level_block_sums(num, level, grid) * cellvol
-        s_w = _level_block_sums(w.values, level, grid) * cellvol
-        vals = (s_w ** (-lam / grid.ndim) * s_num) ** (1.0 / p)
-        k = int(np.argmax(vals))
-        v = float(vals.reshape(-1)[k])
-        if v > best:
-            best = v
-            coords = (k,) if grid.ndim == 1 else divmod(k, vals.shape[1])
-            best_cube = grid.dyadic_cube(level, coords)
-    return NormResult(best, best_cube)
-
-
-def dyadic_weighted_morrey_values(g: GridFunction, w: GridFunction, p: float,
-                                  lam: float) -> list[np.ndarray]:
-    """Per-level arrays of the dyadic weighted Morrey functional (for localized checks)."""
-    grid = g.grid
-    cellvol = grid.cell_volume
-    num = np.abs(g.values) ** p * w.values
-    out = []
-    for level in range(grid.depth + 1):
-        s_num = _level_block_sums(num, level, grid) * cellvol
-        s_w = _level_block_sums(w.values, level, grid) * cellvol
-        out.append((s_w ** (-lam / grid.ndim) * s_num) ** (1.0 / p))
-    return out
+        s_num = level_sums(num, level, grid.ndim) * cellvol
+        s_w = level_sums(w.values, level, grid.ndim) * cellvol
+        sup.offer((s_w ** (-lam / grid.ndim) * s_num) ** (1.0 / p), level)
+    return Supremum(sup.value, grid.dyadic_cube(sup.key, sup.index))
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,19 @@ whole-space scaling of every constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._windows import (
+    broadcast_level,
     covering_window_extreme,
-    prefix_sum_1d,
-    prefix_sum_2d,
-    window_sums_1d,
-    window_sums_2d,
+    level_sums,
+    per_axis,
+    tripled_sums,
+    window_kernels,
 )
 from .grid import (
     Cube,
@@ -44,100 +46,48 @@ class OperatorOutput:
         return self.result.values
 
 
-def _level_block_sums(values: np.ndarray, level: int, grid: Grid) -> np.ndarray:
-    s = grid.cells_per_side >> level
-    if grid.ndim == 1:
-        return values.reshape(1 << level, s).sum(axis=1)
-    k = 1 << level
-    return values.reshape(k, s, k, s).sum(axis=(1, 3))
-
-
-def _broadcast_level(vals: np.ndarray, level: int, grid: Grid) -> np.ndarray:
-    s = grid.cells_per_side >> level
-    if grid.ndim == 1:
-        return np.repeat(vals, s)
-    return np.repeat(np.repeat(vals, s, axis=0), s, axis=1)
-
-
-def _tripled_block_sums(block: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum of each block with its (clipped) neighbors: the integral over 3Q."""
-    if ndim == 1:
-        padded = np.pad(block, 1)
-        return padded[:-2] + padded[1:-1] + padded[2:]
-    padded = np.pad(block, 1)
-    out = np.zeros_like(block)
-    for di in range(3):
-        for dj in range(3):
-            out += padded[di:di + block.shape[0], dj:dj + block.shape[1]]
-    return out
-
-
 def fractional_maximal(f: GridFunction, alpha: float,
                        fidelity: Fidelity | None = None) -> OperatorOutput:
     """M_alpha f: per cell, sup over family cubes containing the cell of
     |Q|^(alpha/n) avg_Q |f|.  alpha = 0 is the Hardy-Littlewood maximal operator.
     """
     grid = f.grid
-    if not 0 <= alpha < grid.ndim:
+    ndim = grid.ndim
+    if not 0 <= alpha < ndim:
         raise DomainError(f"need 0 <= alpha < n, got alpha={alpha}")
     fid: Fidelity = fidelity or grid.default_fidelity()
     h = grid.cell_side
-    g = np.abs(f.values)
     n = grid.cells_per_side
+    prefix_sum, window_sums = window_kernels(ndim)
+    prefix = prefix_sum(np.abs(f.values))
 
     out = np.full(grid.shape, -np.inf)
-    if fid == "aligned" and grid.ndim == 1:
-        prefix = prefix_sum_1d(g)
+    if fid == "aligned":
+        # every window: each cell takes the extreme over the windows covering
+        # it, one axis at a time
         for s in range(1, n + 1):
-            scale = (s * h) ** alpha / s
-            vals = scale * window_sums_1d(prefix, s)
-            np.maximum(out, covering_window_extreme(vals, s, n), out=out)
-    elif fid == "aligned":
-        prefix = prefix_sum_2d(g)
-        for s in range(1, n + 1):
-            scale = (s * h) ** alpha / (s * s)
-            vals = scale * window_sums_2d(prefix, s)
-            cols = covering_window_extreme(vals, s, n)
-            np.maximum(out, covering_window_extreme(cols.T, s, n).T, out=out)
+            vals = (s * h) ** alpha / s**ndim * window_sums(prefix, s)
+            np.maximum(out, per_axis(covering_window_extreme, vals, s, n), out=out)
     else:
+        # strided start lists: along each axis a cell lies in at most one
+        # cube of a list; the slot past the last start holds -inf (no cube)
+        cells = np.arange(n)
         for s, start_lists in family_blocks(grid, fid):
-            scale = (s * h) ** alpha / s**grid.ndim
-            if grid.ndim == 1:
-                prefix = prefix_sum_1d(g)
-                sums = window_sums_1d(prefix, s)
-                for starts in start_lists:
-                    offset = int(starts[0])
-                    vals = scale * sums[starts]
-                    cells = np.arange(n)
-                    idx = (cells - offset) // s
-                    valid = (cells >= offset) & (idx < len(starts)) & (idx >= 0)
-                    cand = np.where(valid, vals[np.clip(idx, 0, len(starts) - 1)], -np.inf)
-                    np.maximum(out, cand, out=out)
-            else:
-                prefix = prefix_sum_2d(g)
-                for sa in start_lists:
-                    for sb in start_lists:
-                        sums = (prefix[np.ix_(sa + s, sb + s)] - prefix[np.ix_(sa, sb + s)]
-                                - prefix[np.ix_(sa + s, sb)] + prefix[np.ix_(sa, sb)])
-                        vals = scale * sums
-                        cells = np.arange(n)
-                        ia = (cells - int(sa[0])) // s
-                        ib = (cells - int(sb[0])) // s
-                        va = (cells >= sa[0]) & (ia >= 0) & (ia < len(sa))
-                        vb = (cells >= sb[0]) & (ib >= 0) & (ib < len(sb))
-                        cand = np.where(
-                            va[:, None] & vb[None, :],
-                            vals[np.clip(ia, 0, len(sa) - 1)][:, np.clip(ib, 0, len(sb) - 1)],
-                            -np.inf,
-                        )
-                        np.maximum(out, cand, out=out)
+            sums = (s * h) ** alpha / s**ndim * window_sums(prefix, s)
+            for starts in itertools.product(start_lists, repeat=ndim):
+                vals = np.full([len(a) + 1 for a in starts], -np.inf)
+                vals[tuple(slice(len(a)) for a in starts)] = sums[np.ix_(*starts)]
+                covering = [np.where((cells >= a[0]) & (cells < a[0] + s * len(a)),
+                                     (cells - a[0]) // s, len(a)) for a in starts]
+                np.maximum(out, vals[np.ix_(*covering)], out=out)
     return OperatorOutput(GridFunction(grid, out), "fractional_maximal",
                           {"alpha": alpha, "fidelity": fid})
 
 
 def _dilated_scaled_averages(f: GridFunction, alpha: float, base: Cube,
-                             alpha_weighting: bool) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per level within `base`: (level, slice indices, scaled averages over 3Q).
+                             alpha_weighting: bool) -> list[tuple[int, tuple, np.ndarray]]:
+    """Per level within `base`: (level, dyadic coords of the first cube, scaled
+    averages over 3Q of the level's cubes inside the base).
 
     With alpha_weighting the value is |Q|^(alpha/n) * avg_{3Q} f, otherwise the
     plain avg_{3Q} f.  Averages are taken against the nominal volume of 3Q.
@@ -148,18 +98,12 @@ def _dilated_scaled_averages(f: GridFunction, alpha: float, base: Cube,
     out = []
     for level in range(base.level, grid.depth + 1):
         s = grid.cells_per_side >> level
-        block = _level_block_sums(f.values, level, grid) * cellvol
-        tripled = _tripled_block_sums(block, grid.ndim)
-        nominal = (3 * s * h) ** grid.ndim
-        avg = tripled / nominal
+        block = level_sums(f.values, level, grid.ndim) * cellvol
+        avg = tripled_sums(block) / (3 * s * h) ** grid.ndim
         scale = (s * h) ** alpha if alpha_weighting else 1.0
-        if grid.ndim == 1:
-            idx = np.arange(base.lo[0] // s, base.hi[0] // s)
-            out.append((level, idx, scale * avg[idx]))
-        else:
-            ia = np.arange(base.lo[0] // s, base.hi[0] // s)
-            ib = np.arange(base.lo[1] // s, base.hi[1] // s)
-            out.append((level, (ia, ib), scale * avg[np.ix_(ia, ib)]))
+        first = tuple(a // s for a in base.lo)
+        inside = tuple(slice(a // s, b // s) for a, b in zip(base.lo, base.hi))
+        out.append((level, first, scale * avg[inside]))
     return out
 
 
@@ -173,13 +117,8 @@ def local_dyadic_maximal(f: GridFunction, alpha: float, base: Cube) -> OperatorO
     g = abs(f)
     out = np.zeros(grid.shape)
     sub = np.full(base.extents, -np.inf)
-    for level, idx, vals in _dilated_scaled_averages(g, alpha, base, True):
-        s = grid.cells_per_side >> level
-        if grid.ndim == 1:
-            rep = np.repeat(vals, s)
-        else:
-            rep = np.repeat(np.repeat(vals, s, axis=0), s, axis=1)
-        np.maximum(sub, rep, out=sub)
+    for level, _, vals in _dilated_scaled_averages(g, alpha, base, True):
+        np.maximum(sub, broadcast_level(vals, grid.cells_per_side >> level), out=sub)
     out[base.slices] = sub
     return OperatorOutput(GridFunction(grid, out), "local_dyadic_maximal",
                           {"alpha": alpha, "base": base})
@@ -256,26 +195,15 @@ def centered_weighted_maximal(f: GridFunction, sigma: GridFunction) -> OperatorO
     num = np.abs(f.values) * sigma.values
     den = sigma.values
     out = np.full(grid.shape, -np.inf)
-    cells = np.arange(n)
-    if grid.ndim == 1:
-        pn, pd = prefix_sum_1d(num), prefix_sum_1d(den)
-        for s in range(1, n + 1, 2):
-            r = (s - 1) // 2
-            lo = np.clip(cells - r, 0, n)
-            hi = np.clip(cells + r + 1, 0, n)
-            ratio = (pn[hi] - pn[lo]) / (pd[hi] - pd[lo])
-            np.maximum(out, ratio, out=out)
-    else:
-        pn, pd = prefix_sum_2d(num), prefix_sum_2d(den)
-        for s in range(1, n + 1, 2):
-            r = (s - 1) // 2
-            lo = np.clip(cells - r, 0, n)
-            hi = np.clip(cells + r + 1, 0, n)
-            def box(pref):
-                return (pref[np.ix_(hi, hi)] - pref[np.ix_(lo, hi)]
-                        - pref[np.ix_(hi, lo)] + pref[np.ix_(lo, lo)])
-            ratio = box(pn) / box(pd)
-            np.maximum(out, ratio, out=out)
+    # zero padding by the largest radius clips every cube to the root: the
+    # padded integral image repeats the unpadded one's border values exactly
+    pad = (n - 1) // 2
+    prefix_sum, window_sums = window_kernels(grid.ndim)
+    pn, pd = prefix_sum(np.pad(num, pad)), prefix_sum(np.pad(den, pad))
+    for s in range(1, n + 1, 2):
+        lo = pad - (s - 1) // 2
+        sel = (slice(lo, lo + n + s),) * grid.ndim
+        np.maximum(out, window_sums(pn[sel], s) / window_sums(pd[sel], s), out=out)
     return OperatorOutput(GridFunction(grid, out), "centered_weighted_maximal", {})
 
 
@@ -288,9 +216,9 @@ def dyadic_weighted_maximal(f: GridFunction, w: GridFunction) -> OperatorOutput:
     num = np.abs(f.values) * w.values
     out = np.full(grid.shape, -np.inf)
     for level in range(grid.depth + 1):
-        bn = _level_block_sums(num, level, grid)
-        bw = _level_block_sums(w.values, level, grid)
-        np.maximum(out, _broadcast_level(bn / bw, level, grid), out=out)
+        bn = level_sums(num, level, grid.ndim)
+        bw = level_sums(w.values, level, grid.ndim)
+        np.maximum(out, broadcast_level(bn / bw, grid.cells_per_side >> level), out=out)
     return OperatorOutput(GridFunction(grid, out), "dyadic_weighted_maximal", {})
 
 

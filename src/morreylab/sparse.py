@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._windows import broadcast_level
 from .grid import Cube, DomainError, Grid, GridFunction, dilate
 from .operators import (
     _dilated_scaled_averages,
@@ -80,11 +81,6 @@ def _require_nonnegative(f: GridFunction) -> None:
         raise DomainError("sparse builders require f >= 0")
 
 
-def _stopping_functional(f: GridFunction, alpha: float, base: Cube,
-                         alpha_weighting: bool):
-    return _dilated_scaled_averages(f, alpha, base, alpha_weighting)
-
-
 def _build_family(f: GridFunction, alpha: float, base: Cube,
                   alpha_weighting: bool, kind: str) -> SparseFamily:
     _require_nonnegative(f)
@@ -92,7 +88,7 @@ def _build_family(f: GridFunction, alpha: float, base: Cube,
         raise DomainError("base cube must be dyadic")
     grid = f.grid
     ratio = stopping_ratio(grid.ndim, alpha if alpha_weighting else 0.0)
-    levels = _stopping_functional(f, alpha, base, alpha_weighting)
+    levels = _dilated_scaled_averages(f, alpha, base, alpha_weighting)
     base_val = float(np.asarray(levels[0][2]).reshape(-1)[0])
     if base_val == 0.0:
         return SparseFamily(base, (), 0.0, ratio, alpha, kind)
@@ -105,25 +101,17 @@ def _build_family(f: GridFunction, alpha: float, base: Cube,
         threshold = base_val * ratio**k
         found: list[tuple[int, tuple[int, ...], float]] = []
         blocked = None  # per-level mask of cells with a stopped ancestor
-        for level, idx, vals in levels:
+        for level, first, vals in levels:
             qualify = vals >= threshold
             if blocked is None:
                 blocked = np.zeros_like(qualify, dtype=bool)
             stop_here = qualify & ~blocked
-            if np.any(stop_here):
-                if grid.ndim == 1:
-                    for j in np.nonzero(stop_here)[0]:
-                        found.append((level, (int(idx[j]),), float(vals[j])))
-                else:
-                    ia, ib = idx
-                    for j0, j1 in zip(*np.nonzero(stop_here)):
-                        found.append((level, (int(ia[j0]), int(ib[j1])), float(vals[j0, j1])))
+            for j in zip(*np.nonzero(stop_here)):
+                coords = tuple(int(a + b) for a, b in zip(first, j))
+                found.append((level, coords, float(vals[j])))
             blocked = blocked | stop_here
             if level < grid.depth:
-                if grid.ndim == 1:
-                    blocked = np.repeat(blocked, 2)
-                else:
-                    blocked = np.repeat(np.repeat(blocked, 2, axis=0), 2, axis=1)
+                blocked = broadcast_level(blocked, 2)
         if not found:
             break
         per_generation.append(found)
@@ -168,9 +156,6 @@ def build_sparse_maximal(f: GridFunction, alpha: float, base: Cube) -> SparseRes
         raise DomainError(f"need 0 <= alpha < n, got alpha={alpha}")
     family = _build_family(f, alpha, base, alpha_weighting=True, kind="maximal")
     tail, detail = _outer_tail(f, alpha, base)
-    if not family.cubes:
-        # f vanishes near the base; the family is empty and only the tail remains
-        return SparseResult(family, tail, detail, f)
     return SparseResult(family, tail, detail, f)
 
 
@@ -303,12 +288,8 @@ def dyadic_sum_form(f: GridFunction, alpha: float, base: Cube) -> np.ndarray:
     (values on the base cells)."""
     grid = f.grid
     acc = np.zeros(base.extents)
-    for level, idx, vals in _dilated_scaled_averages(f, alpha, base, True):
-        s = grid.cells_per_side >> level
-        if grid.ndim == 1:
-            acc += np.repeat(vals, s)
-        else:
-            acc += np.repeat(np.repeat(vals, s, axis=0), s, axis=1)
+    for level, _, vals in _dilated_scaled_averages(f, alpha, base, True):
+        acc += broadcast_level(vals, grid.cells_per_side >> level)
     return acc
 
 
@@ -421,22 +402,12 @@ def audit_proof_inequalities(f: GridFunction, w: GridFunction | None,
             hi_t = lo_t * family.threshold_ratio
             acc = np.zeros(sc.cube.extents)
             for level in range(sc.cube.level, grid.depth + 1):
-                idx, vals = by_level[level]
+                first, vals = by_level[level]
                 s = grid.cells_per_side >> level
-                if grid.ndim == 1:
-                    sel = slice(sc.cube.lo[0] // s - int(idx[0]),
-                                sc.cube.hi[0] // s - int(idx[0]))
-                    v = vals[sel]
-                    band = (v >= lo_t) & (v < hi_t)
-                    acc += np.repeat(band * (s * grid.cell_side) ** family.alpha, s)
-                else:
-                    ia, ib = idx
-                    sel0 = slice(sc.cube.lo[0] // s - int(ia[0]), sc.cube.hi[0] // s - int(ia[0]))
-                    sel1 = slice(sc.cube.lo[1] // s - int(ib[0]), sc.cube.hi[1] // s - int(ib[0]))
-                    v = vals[sel0, sel1]
-                    band = (v >= lo_t) & (v < hi_t)
-                    term = band * (s * grid.cell_side) ** family.alpha
-                    acc += np.repeat(np.repeat(term, s, axis=0), s, axis=1)
+                v = vals[tuple(slice(a // s - o, b // s - o)
+                               for a, b, o in zip(sc.cube.lo, sc.cube.hi, first))]
+                band = (v >= lo_t) & (v < hi_t)
+                acc += broadcast_level(band * (s * grid.cell_side) ** family.alpha, s)
             scale = sc.cube.volume ** (family.alpha / grid.ndim)
             worst = max(worst, float(acc.max()) / scale)
         gen_sum_c = worst

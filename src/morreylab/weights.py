@@ -7,85 +7,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._windows import (
-    prefix_sum_1d,
-    prefix_sum_2d,
-    sliding_extreme,
-    window_sums_1d,
-    window_sums_2d,
+from ._windows import per_axis, sliding_extreme, window_kernels
+from .grid import (
+    Cube,
+    DomainError,
+    Fidelity,
+    Grid,
+    GridFunction,
+    Supremum,
+    center_coords,
+    center_distance,
+    family_sup,
+    require_weight,
 )
-from .grid import Cube, DomainError, Fidelity, Grid, GridFunction, family_blocks, require_weight
 
 
-@dataclass(frozen=True)
-class ConstantResult:
-    value: float
-    cube: Cube | None
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _sup_product_1d(grid: Grid, fidelity: Fidelity, parts) -> ConstantResult:
+def _sup_product(grid: Grid, fidelity: Fidelity | None, parts) -> Supremum:
     """sup over family cubes of prod_k transform_k(window mean or min).
 
     `parts` is a list of (values, mode, transform) with mode in {"mean", "min"}.
     """
-    n = grid.cells_per_side
-    prefixes = [prefix_sum_1d(v) if mode == "mean" else v for v, mode, _ in parts]
-    best, best_cube = -np.inf, None
-    for s, start_lists in family_blocks(grid, fidelity):
+    n = grid.ndim
+    prefix_sum, window_sums = window_kernels(n)
+    prefixes = [prefix_sum(v) if mode == "mean" else v for v, mode, _ in parts]
+
+    def window_values(s: int) -> np.ndarray:
         factors = []
         for (v, mode, tf), pre in zip(parts, prefixes):
             if mode == "mean":
-                factors.append(tf(window_sums_1d(pre, s) / s))
+                factors.append(tf(window_sums(pre, s) / s**n))
             else:
-                factors.append(tf(sliding_extreme(v, s, kind="min")))
+                factors.append(tf(per_axis(sliding_extreme, v, s, "min")))
         prod = factors[0]
         for fac in factors[1:]:
             prod = prod * fac
-        for starts in start_lists:
-            vals = prod[starts]
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                best_cube = (int(starts[k]), s)
-    return ConstantResult(best, grid.aligned_cube((best_cube[0],), best_cube[1]))
+        return prod
+
+    return family_sup(grid, fidelity or grid.default_fidelity(), window_values)
 
 
-def _sup_product_2d(grid: Grid, fidelity: Fidelity, parts) -> ConstantResult:
-    prefixes = [prefix_sum_2d(v) if mode == "mean" else v for v, mode, _ in parts]
-    best, best_cube = -np.inf, None
-    for s, start_lists in family_blocks(grid, fidelity):
-        factors = []
-        for (v, mode, tf), pre in zip(parts, prefixes):
-            if mode == "mean":
-                factors.append(tf(window_sums_2d(pre, s) / (s * s)))
-            else:
-                col = sliding_extreme(v, s, kind="min")
-                factors.append(tf(sliding_extreme(col.T, s, kind="min").T))
-        prod = factors[0]
-        for fac in factors[1:]:
-            prod = prod * fac
-        for sa in start_lists:
-            for sb in start_lists:
-                vals = prod[np.ix_(sa, sb)]
-                k = int(np.argmax(vals))
-                ki, kj = divmod(k, vals.shape[1])
-                if vals[ki, kj] > best:
-                    best = float(vals[ki, kj])
-                    best_cube = ((int(sa[ki]), int(sb[kj])), s)
-    return ConstantResult(best, grid.aligned_cube(*best_cube))
-
-
-def _sup_product(grid: Grid, fidelity: Fidelity | None, parts) -> ConstantResult:
-    fid = fidelity or grid.default_fidelity()
-    if grid.ndim == 1:
-        return _sup_product_1d(grid, fid, parts)
-    return _sup_product_2d(grid, fid, parts)
-
-
-def ap_constant(w: GridFunction, p: float, fidelity: Fidelity | None = None) -> ConstantResult:
+def ap_constant(w: GridFunction, p: float, fidelity: Fidelity | None = None) -> Supremum:
     """Muckenhoupt constant: sup_Q (avg_Q w)(avg_Q w^(1-p'))^(p-1) for p > 1,
     and sup_Q (avg_Q w) / (min over cells of Q of w) for p = 1.
 
@@ -110,7 +71,7 @@ def ap_constant(w: GridFunction, p: float, fidelity: Fidelity | None = None) -> 
 
 
 def apq_constant(w: GridFunction, p: float, q: float,
-                 fidelity: Fidelity | None = None) -> ConstantResult:
+                 fidelity: Fidelity | None = None) -> Supremum:
     """sup_Q (avg_Q w^q)^(1/q) (avg_Q w^(-p'))^(1/p')."""
     require_weight(w)
     if p <= 1 or q <= 0:
@@ -127,9 +88,9 @@ def apq_constant(w: GridFunction, p: float, q: float,
 class WeightConstants:
     """Constants of one weight, with attaining cubes, for reporting."""
 
-    a1: ConstantResult
-    ap: dict[float, ConstantResult] = field(default_factory=dict)
-    apq: dict[tuple[float, float], ConstantResult] = field(default_factory=dict)
+    a1: Supremum
+    ap: dict[float, Supremum] = field(default_factory=dict)
+    apq: dict[tuple[float, float], Supremum] = field(default_factory=dict)
 
 
 def weight_constants(w: GridFunction, p_values: tuple[float, ...] = (),
@@ -195,15 +156,15 @@ class PowerWeightSpec:
         if self.rho <= -grid.ndim:
             raise DomainError(f"need rho > -n, got rho={self.rho}")
         h = grid.cell_side
+        c = center_coords(grid, self.center)
         if grid.ndim == 1:
-            c = float(self.center) if not isinstance(self.center, tuple) else self.center[0]
             edges = np.arange(grid.cells_per_side + 1) * h
             r = self.rho
 
             def anti(t: np.ndarray) -> np.ndarray:
                 return np.abs(t) ** (r + 1.0) / (r + 1.0)
 
-            a, b = edges[:-1] - c, edges[1:] - c
+            a, b = edges[:-1] - c[0], edges[1:] - c[0]
             straddle = (a < 0) & (b > 0)
             vals = np.where(
                 straddle,
@@ -212,16 +173,12 @@ class PowerWeightSpec:
             )
             return GridFunction(grid, vals)
 
-        cx, cy = self.center if isinstance(self.center, tuple) else (float(self.center),) * 2
-        centers = grid.cell_centers()
-        d = np.hypot(centers[..., 0] - cx, centers[..., 1] - cy)
+        d = center_distance(grid, c)
         vals = np.where(d > 0, d, 1.0) ** self.rho
         # cells whose closure contains the center: bracket by radial averages
         # over inscribed/circumscribed discs, avg over disc r of |x|^rho =
         # 2 r^rho / (rho + 2), defined for rho > -2.
-        singular = (np.abs(centers[..., 0] - cx) <= h / 2 + 1e-12) & (
-            np.abs(centers[..., 1] - cy) <= h / 2 + 1e-12
-        )
+        singular = np.all(np.abs(grid.cell_centers() - c) <= h / 2 + 1e-12, axis=-1)
         if singular.any():
             r_in, r_out = h / 2.0, h * math.sqrt(2.0) / 2.0
             bracket = (2 * r_in**self.rho / (self.rho + 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morreylab import weights
+from morreylab import content, weights
 from morreylab.content import (
     ConvergenceError,
     block_norm_dual,
@@ -120,6 +120,30 @@ class TestChoquet:
     def test_negative_rejected(self, grid1d):
         with pytest.raises(DomainError):
             choquet_integral(GridFunction.constant(grid1d, -1.0), 0.5)
+
+    @pytest.mark.parametrize("n,depth,lam", [(1, 6, 0.3), (1, 8, 0.9), (2, 3, 0.6), (2, 4, 1.7)])
+    def test_batched_dp_equals_hausdorff_content(self, monkeypatch, rng, n, depth, lam):
+        """The batched DP of choquet_integral gives hausdorff_content's value
+        bit for bit on every threshold mask that choquet_integral builds."""
+        g = Grid(n, depth)
+        real = content._content_values_batched
+        seen = []
+
+        def recording(grid, masks, lam_):
+            values = real(grid, masks, lam_)
+            seen.append((masks, values))
+            return values
+
+        monkeypatch.setattr(content, "_content_values_batched", recording)
+        center = 0.3 if n == 1 else (0.3, 0.6)
+        for phi in (np.round(rng.uniform(0.0, 3.0, g.shape), 1),
+                    rng.uniform(0.0, 1.0, g.shape) * (rng.random(g.shape) < 0.5),
+                    weights.power_weight(g, -0.4 * n, center=center).values):
+            choquet_integral(GridFunction(g, phi), lam)
+        assert len(seen) == 3
+        for masks, values in seen:
+            for mask, value in zip(masks, values):
+                assert value == hausdorff_content(g, mask, lam).value
 
 
 class TestBlocks:
