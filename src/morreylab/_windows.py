@@ -18,6 +18,16 @@ depends on them bit for bit:
 
 The prefix-sum and window-sum kernels exist once per dimension, because the
 1D forms are cheaper; `window_kernels` picks them once per call.
+
+Two kernels give the aligned M_alpha, the per-cell max over every window
+covering a cell.  In 1D `covering_pair_max` takes all window start/end pairs
+in one pass.  In 2D a cube's one side ties the axes together, so the sweep
+goes one side length at a time: `covering_window_extreme` per axis, over the
+sparse-table `sliding_extreme` (which the A_p minima use as well).  Both
+multiply the same per-width coefficient into the same window sums, and a
+max is exact, so they agree bit for bit; the coefficients are built with
+Python's scalar `**`, because `np.power` differs from it in the last bit on
+some inputs (AVX-512 hosts).
 """
 
 from __future__ import annotations
@@ -148,8 +158,8 @@ def covering_window_extreme(window_vals: np.ndarray, width: int, n_cells: int,
     slots are padded with the identity for the chosen extreme.
     """
     pad_val = -np.inf if kind == "max" else np.inf
-    m = window_vals.shape[0]
-    assert m == n_cells - width + 1
+    if window_vals.shape[0] != n_cells - width + 1:
+        raise ValueError("need one window value per start in [0, n_cells - width]")
     pad_shape = (width - 1,) + window_vals.shape[1:]
     padded = np.concatenate([
         np.full(pad_shape, pad_val),
@@ -157,6 +167,50 @@ def covering_window_extreme(window_vals: np.ndarray, width: int, n_cells: int,
         np.full(pad_shape, pad_val),
     ], axis=0)
     return sliding_extreme(padded, width, kind=kind)
+
+
+def covering_pair_max(prefix: np.ndarray, coef: np.ndarray, block: int = 32) -> np.ndarray:
+    """Per-cell max of coef[j-i] * (prefix[j] - prefix[i]) over the windows
+    [i, j) that cover the cell (i <= c < j), for a 1D prefix-sum array.
+
+    One pass over start/end pairs, `block` starts at a time.  For the cells
+    from the block's last start on, a window is covering exactly when its end
+    is past the cell, so a reverse running max of the block's column maxima
+    serves them all.  The block's own cells read the square of ends up to the
+    block's end, with each start's max over the ends past the block carried
+    in as its last column: a running max down the starts, then back along
+    the ends, leaves cell c's value on the diagonal.  That read takes starts
+    <= c and ends > c only, so the pairs with j <= i in the square are never
+    read and need no mask.  The coefficients are read through a Toeplitz view
+    of `coef` (no gather) into one reused buffer.  Each candidate is the same
+    subtraction and product as `coef[s] * window_sums_1d(prefix, s)`, and a max
+    is exact, so the result equals the per-width covering sweep bit for bit.
+    """
+    n = prefix.shape[0] - 1
+    if coef.shape[0] != n + 1:
+        raise ValueError("need one coefficient per window width 0..N")
+    rows = min(block, n)
+    # row r of `toeplitz` holds coef[t + 1 - r] at column t (end j = b0 + 1 + t
+    # of the block's start i = b0 + r); the zero pad meets only pairs j < i
+    padded = np.concatenate([np.zeros(rows - 1), coef])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, n)[rows:0:-1]
+    buf = np.empty((rows, n))
+    out = np.full(n, -np.inf)
+    for b0 in range(0, n, rows):
+        r = min(rows, n - b0)
+        blk = buf[:r, :n - b0]
+        np.subtract(prefix[None, b0 + 1:], prefix[b0:b0 + r, None], out=blk)
+        np.multiply(toeplitz[:r, :n - b0], blk, out=blk)
+        past = blk[:, r - 1:]  # ends j >= b0 + r, past every start of the block
+        suffix = np.maximum.accumulate(past.max(axis=0)[::-1])[::-1]
+        np.maximum(out[b0 + r:], suffix[1:], out=out[b0 + r:])
+        carried = past.max(axis=1)
+        inner = blk[:, :r]
+        inner[:, r - 1] = carried
+        np.maximum.accumulate(inner, axis=0, out=inner)
+        np.maximum.accumulate(inner[:, ::-1], axis=1, out=inner[:, ::-1])
+        np.maximum(out[b0:b0 + r], inner.diagonal(), out=out[b0:b0 + r])
+    return out
 
 
 def per_axis(kernel, arr: np.ndarray, *args) -> np.ndarray:

@@ -218,14 +218,17 @@ class DoublingCheck:
 
 def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
                   fidelity: Fidelity | None = None,
-                  table: IntervalNormTable | None = None) -> DoublingCheck:
+                  table: IntervalNormTable | None = None,
+                  dens: dict | None = None) -> DoublingCheck:
     """Check 2 ||w 1_Q|| <= ||w 1_{kappa Q}|| over dyadic Q whose kappa-dilate
     stays inside the root (unclipped), in the (q, q0) Morrey scale.
 
     In 1D the norms come from w's IntervalNormTable in that scale; a caller
-    that checks many kappa passes it as `table` so it is built once.  The
-    witness is the first cube attaining the minimal ratio, in dyadic_cubes
-    order.
+    that checks many kappa passes it as `table` so it is built once.  In 2D
+    the denominators ||w 1_Q|| do not depend on kappa; such a caller passes
+    one dict as `dens`, which keeps each cube's denominator once computed.
+    The witness is the first cube attaining the minimal ratio, in
+    dyadic_cubes order.
     """
     require_weight(w)
     if kappa <= 1:
@@ -234,6 +237,8 @@ def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
     if grid.ndim == 1:
         return _norm_doubling_1d(table if table is not None else IntervalNormTable(w, q, q0),
                                  kappa)
+    if dens is None:
+        dens = {}
     worst, worst_cube, count = math.inf, None, 0
     for cube in dyadic_cubes(grid):
         big = dilate(cube, kappa)
@@ -241,7 +246,9 @@ def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
             continue
         count += 1
         num = morrey_norm(w, q, q0, fidelity, support=big).value
-        den = morrey_norm(w, q, q0, fidelity, support=cube).value
+        den = dens.get(cube)
+        if den is None:
+            den = dens[cube] = morrey_norm(w, q, q0, fidelity, support=cube).value
         ratio = num / den
         if ratio < worst:
             worst, worst_cube = ratio, cube
@@ -296,10 +303,11 @@ def doubling_search(w: GridFunction, q: float, q0: float,
     grid = w.grid
     kappas = kappa_grid if kappa_grid is not None else doubling_kappa_grid(grid)
     table = IntervalNormTable(w, q, q0) if grid.ndim == 1 else None
+    dens: dict = {}
     checks = []
     for kappa in kappas:
         try:
-            chk = norm_doubling(w, q, q0, kappa, fidelity, table)
+            chk = norm_doubling(w, q, q0, kappa, fidelity, table, dens)
         except DomainError:
             break
         checks.append(chk)

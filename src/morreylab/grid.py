@@ -275,19 +275,22 @@ def dyadic_cubes(grid: Grid, region: Cube | None = None) -> list[Cube]:
 
 
 def family_blocks(grid: Grid, fidelity: Fidelity,
-                  max_side: int | None = None) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """Yield (side_cells, per-axis start arrays) describing a cube family.
+                  max_side: int | None = None) -> Iterator[tuple[int, list[range | np.ndarray]]]:
+    """Yield (side_cells, per-axis start lists) describing a cube family.
 
     For each yielded block the family contains every cube with the given side
-    and lower corner in the cartesian product of one start array per axis.  The
-    "shifted" family adds third-shifted copies of the dyadic grids per level
-    (shifts snapped to whole cells), giving a 3^n-grid surrogate.
+    and lower corner in the cartesian product of one start list per axis.  The
+    aligned family takes every start, as a `range` (its sweeps read every
+    window, so no index array is built); the strided families give int64
+    arrays to gather with.  The "shifted" family adds third-shifted copies of
+    the dyadic grids per level (shifts snapped to whole cells), giving a
+    3^n-grid surrogate.
     """
     n = grid.cells_per_side
     cap = n if max_side is None else min(n, max_side)
     if fidelity == "aligned":
         for s in range(1, cap + 1):
-            yield s, [np.arange(0, n - s + 1, dtype=np.int64)]
+            yield s, [range(n - s + 1)]
     elif fidelity == "dyadic":
         s = 1
         while s <= cap:

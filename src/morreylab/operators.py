@@ -5,6 +5,13 @@ function is piecewise constant, suprema over a cell are attained there for the
 families used.  Dilated cubes are clipped to the root but averaged against
 their nominal volume (the function is zero outside the root), which keeps the
 whole-space scaling of every constant.
+
+The aligned M_alpha has two paths.  In 1D one pass over window start/end
+pairs (`_windows.covering_pair_max`); in 2D one side length at a time
+(`aligned_maximal_per_width`), which is also the 1D oracle of the pair pass.
+The coefficient (s h)^alpha / s^n of each side s is a Python scalar `**`:
+`np.power` rounds some of them differently in the last bit, and the two paths
+agree bit for bit only on the same coefficients.
 """
 
 from __future__ import annotations
@@ -17,9 +24,11 @@ import numpy as np
 
 from ._windows import (
     broadcast_level,
+    covering_pair_max,
     covering_window_extreme,
     level_sums,
     per_axis,
+    prefix_sum_1d,
     tripled_sums,
     window_kernels,
 )
@@ -58,17 +67,17 @@ def fractional_maximal(f: GridFunction, alpha: float,
     fid: Fidelity = fidelity or grid.default_fidelity()
     h = grid.cell_side
     n = grid.cells_per_side
-    prefix_sum, window_sums = window_kernels(ndim)
-    prefix = prefix_sum(np.abs(f.values))
-
-    out = np.full(grid.shape, -np.inf)
     if fid == "aligned":
-        # every window: each cell takes the extreme over the windows covering
-        # it, one axis at a time
-        for s in range(1, n + 1):
-            vals = (s * h) ** alpha / s**ndim * window_sums(prefix, s)
-            np.maximum(out, per_axis(covering_window_extreme, vals, s, n), out=out)
+        if ndim == 1:
+            # scalar ** per width: np.power differs in the last bit
+            coef = np.array([0.0] + [(s * h) ** alpha / s for s in range(1, n + 1)])
+            out = covering_pair_max(prefix_sum_1d(np.abs(f.values)), coef)
+        else:
+            out = aligned_maximal_per_width(f, alpha)
     else:
+        prefix_sum, window_sums = window_kernels(ndim)
+        prefix = prefix_sum(np.abs(f.values))
+        out = np.full(grid.shape, -np.inf)
         # strided start lists: along each axis a cell lies in at most one
         # cube of a list; the slot past the last start holds -inf (no cube)
         cells = np.arange(n)
@@ -82,6 +91,26 @@ def fractional_maximal(f: GridFunction, alpha: float,
                 np.maximum(out, vals[np.ix_(*covering)], out=out)
     return OperatorOutput(GridFunction(grid, out), "fractional_maximal",
                           {"alpha": alpha, "fidelity": fid})
+
+
+def aligned_maximal_per_width(f: GridFunction, alpha: float) -> np.ndarray:
+    """Aligned M_alpha f one side length at a time: each cell takes the extreme
+    over the s-sided windows covering it, one axis at a time.
+
+    This serves n >= 2, where a cube's one side ties the axes together; in 1D
+    `fractional_maximal` uses `covering_pair_max` and this is its exact oracle.
+    """
+    grid = f.grid
+    ndim = grid.ndim
+    h = grid.cell_side
+    n = grid.cells_per_side
+    prefix_sum, window_sums = window_kernels(ndim)
+    prefix = prefix_sum(np.abs(f.values))
+    out = np.full(grid.shape, -np.inf)
+    for s in range(1, n + 1):
+        vals = (s * h) ** alpha / s**ndim * window_sums(prefix, s)
+        np.maximum(out, per_axis(covering_window_extreme, vals, s, n), out=out)
+    return out
 
 
 def _dilated_scaled_averages(f: GridFunction, alpha: float, base: Cube,

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from morreylab import conditions
 from morreylab.conditions import (
     DoublingSearch,
     annular_bump,
@@ -150,6 +152,46 @@ class TestDoubling:
                     break
             found = expected[-1].kappa if expected[-1].ok else None
             assert doubling_search(w, WORKED.q, WORKED.q0) == DoublingSearch(found, tuple(expected))
+
+    @pytest.mark.parametrize("depth, names", [(3, ("constant", "random", "power")),
+                                              (4, ("constant", "random", "power")),
+                                              (5, ("power",))])
+    def test_2d_search_computes_each_denominator_once(self, depth, names, rng, monkeypatch):
+        # the whole search equals per-kappa uncached checks; at L = 5 one
+        # weight only, as the uncached reference takes seconds per weight
+        e2 = ExponentSet.coupled(2, 2.0, 4.0, 0.25)
+        g = Grid(2, depth)
+        weights = {"constant": GridFunction.constant(g, 1.0),
+                   "random": random_function(g, rng),
+                   "power": power_weight(g, 0.25, center=0.5)}
+        for name in names:
+            w = weights[name]
+            expected = []
+            for kappa in doubling_kappa_grid(g):
+                try:
+                    chk = norm_doubling(w, e2.q, e2.q0, kappa)
+                except DomainError:
+                    break
+                expected.append(chk)
+                if chk.ok:
+                    break
+            found = expected[-1].kappa if expected[-1].ok else None
+
+            supports = []
+            real = conditions.morrey_norm
+
+            def recording(*args, support=None, **kwargs):
+                supports.append(support)
+                return real(*args, support=support, **kwargs)
+
+            monkeypatch.setattr(conditions, "morrey_norm", recording)
+            got = doubling_search(w, e2.q, e2.q0)
+            monkeypatch.undo()
+            assert got == DoublingSearch(found, tuple(expected)), name
+            # denominators are the dyadic cubes themselves, numerators dilates
+            dens = Counter(c for c in supports if c.nominal_side_cells is None)
+            assert dens and max(dens.values()) == 1, name
+            assert len(dens) == expected[0].admissible_cubes, name
 
     def test_boundary_power_weight_fails(self):
         g = Grid(1, 10)

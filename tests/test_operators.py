@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from morreylab import _windows
+from morreylab._windows import covering_pair_max, covering_window_extreme, prefix_sum_1d
+from morreylab.conditions import make_corpus
 from morreylab.grid import DomainError, Grid, GridFunction, dilate
 from morreylab.norms import weighted_lp_norm
 from morreylab.operators import (
+    aligned_maximal_per_width,
     centered_weighted_maximal,
     dyadic_weighted_maximal,
     fractional_integral,
@@ -93,6 +98,83 @@ class TestFractionalMaximal:
         assert np.all(dy <= sh + 1e-12) and np.all(sh <= al + 1e-12)
         const = float((al / sh).max())
         assert const < 4.0  # measured shifted-family comparison constant
+
+
+class TestAlignedPairKernel:
+    """1D aligned M_alpha by window start/end pairs, against the per-width
+    covering sweep it replaced (still the 2D path), compared with ==."""
+
+    ALPHAS = (0.0, 0.125, 0.25, 0.5, 0.75)
+
+    @staticmethod
+    def inputs(g):
+        n = g.cells_per_side
+        rng = np.random.default_rng(g.depth)
+        out = [GridFunction(g, np.zeros(n)), GridFunction.point_mass(g, (0,)),
+               GridFunction.point_mass(g, (n - 1,)), GridFunction(g, rng.standard_normal(n)),
+               GridFunction(g, rng.uniform(-1.0, 1.0, n) ** 5)]
+        if g.depth >= 1:  # make_corpus draws cubes from level 1 on
+            # one of each kind where the per-width oracle is slow
+            counts = (1, 1, 1, 1) if g.depth >= 11 else (3, 2, 3, 4)
+            out += [f for _, f in make_corpus(g, 40 + g.depth, *counts).entries]
+        return out
+
+    @pytest.mark.parametrize("depth", range(13))  # 32-start blocks: N < 32, = 32, > 32
+    def test_equals_per_width_path(self, depth):
+        g = Grid(1, depth)
+        inputs = self.inputs(g)
+        # the per-width oracle costs ~N^2 log N: every alpha on every input up
+        # to L = 8, the alphas in turn across the inputs beyond
+        if depth <= 8:
+            cases = itertools.product(inputs, self.ALPHAS)
+        else:
+            cases = zip(inputs, itertools.cycle(self.ALPHAS))
+        for f, alpha in cases:
+            got = fractional_maximal(f, alpha, "aligned").values
+            assert np.array_equal(got, aligned_maximal_per_width(f, alpha)), alpha
+
+    @pytest.mark.parametrize("block", [1, 3, 32, 256])
+    @pytest.mark.parametrize("depth", [0, 2, 5, 9])
+    def test_block_size_does_not_change_values(self, depth, block):
+        g = Grid(1, depth)
+        h, n = g.cell_side, g.cells_per_side
+        for f in self.inputs(g)[:6]:
+            for alpha in (0.0, 0.25):
+                coef = np.array([0.0] + [(s * h) ** alpha / s for s in range(1, n + 1)])
+                got = covering_pair_max(prefix_sum_1d(np.abs(f.values)), coef, block)
+                assert np.array_equal(got, aligned_maximal_per_width(f, alpha))
+
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    @pytest.mark.parametrize("n", [1, 5, 32, 70])
+    def test_signed_prefix_matches_pair_loop(self, n, block, rng):
+        # every window sum is negative, so a pair with j <= i, were it read,
+        # would win with its zero coefficient
+        prefix = np.concatenate([[0.0], np.cumsum(-rng.uniform(0.1, 1.0, n))])
+        coef = np.concatenate([[0.0], rng.uniform(0.5, 2.0, n)])
+        expect = np.full(n, -np.inf)
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                np.maximum(expect[i:j], coef[j - i] * (prefix[j] - prefix[i]), out=expect[i:j])
+        assert np.array_equal(covering_pair_max(prefix, coef, block), expect)
+
+    def test_no_sliding_extreme_call_in_1d(self, monkeypatch):
+        calls = []
+        real = _windows.sliding_extreme
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_windows, "sliding_extreme", counting)
+        f = GridFunction(Grid(1, 6), np.arange(64.0))
+        fractional_maximal(f, 0.25, "aligned")
+        assert calls == []
+        aligned_maximal_per_width(f, 0.25)  # the counter does see the per-width path
+        assert len(calls) == 64
+
+    def test_covering_window_extreme_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            covering_window_extreme(np.zeros(5), 3, 8)
 
 
 class TestLocalDyadicMaximal:
