@@ -169,11 +169,17 @@ def covering_window_extreme(window_vals: np.ndarray, width: int, n_cells: int,
     return sliding_extreme(padded, width, kind=kind)
 
 
-def covering_pair_max(prefix: np.ndarray, coef: np.ndarray, block: int = 32) -> np.ndarray:
+# window starts per block of covering_pair_max: a (32, N) float buffer is 1 MB
+# at N = 4096, while 64 rows raised the peak RSS of a whole 1D sparse fuzz run
+# by about 6 % for a small speed gain
+_PAIR_BLOCK = 32
+
+
+def covering_pair_max(prefix: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Per-cell max of coef[j-i] * (prefix[j] - prefix[i]) over the windows
     [i, j) that cover the cell (i <= c < j), for a 1D prefix-sum array.
 
-    One pass over start/end pairs, `block` starts at a time.  For the cells
+    One pass over start/end pairs, `_PAIR_BLOCK` starts at a time.  For the cells
     from the block's last start on, a window is covering exactly when its end
     is past the cell, so a reverse running max of the block's column maxima
     serves them all.  The block's own cells read the square of ends up to the
@@ -189,7 +195,7 @@ def covering_pair_max(prefix: np.ndarray, coef: np.ndarray, block: int = 32) -> 
     n = prefix.shape[0] - 1
     if coef.shape[0] != n + 1:
         raise ValueError("need one coefficient per window width 0..N")
-    rows = min(block, n)
+    rows = min(_PAIR_BLOCK, n)
     # row r of `toeplitz` holds coef[t + 1 - r] at column t (end j = b0 + 1 + t
     # of the block's start i = b0 + r); the zero pad meets only pairs j < i
     padded = np.concatenate([np.zeros(rows - 1), coef])

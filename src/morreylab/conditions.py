@@ -218,17 +218,26 @@ class DoublingCheck:
 
 def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
                   fidelity: Fidelity | None = None,
-                  table: IntervalNormTable | None = None,
-                  dens: dict | None = None) -> DoublingCheck:
+                  table: IntervalNormTable | None = None) -> DoublingCheck:
     """Check 2 ||w 1_Q|| <= ||w 1_{kappa Q}|| over dyadic Q whose kappa-dilate
     stays inside the root (unclipped), in the (q, q0) Morrey scale.
 
     In 1D the norms come from w's IntervalNormTable in that scale; a caller
-    that checks many kappa passes it as `table` so it is built once.  In 2D
-    the denominators ||w 1_Q|| do not depend on kappa; such a caller passes
-    one dict as `dens`, which keeps each cube's denominator once computed.
-    The witness is the first cube attaining the minimal ratio, in
-    dyadic_cubes order.
+    that checks many kappa passes it as `table` so it is built once.  The
+    witness is the first cube attaining the minimal ratio, in dyadic_cubes
+    order.
+    """
+    return _norm_doubling(w, q, q0, kappa, fidelity, table, None)
+
+
+def _norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
+                   fidelity: Fidelity | None, table: IntervalNormTable | None,
+                   dens: dict | None) -> DoublingCheck:
+    """norm_doubling, keeping the 2D denominators ||w 1_Q|| in `dens` by cube.
+
+    The denominators do not depend on kappa, so doubling_search passes one
+    dict through all its kappas.  A dict belongs to one (w, q, q0, fidelity);
+    None starts a new one.
     """
     require_weight(w)
     if kappa <= 1:
@@ -303,11 +312,11 @@ def doubling_search(w: GridFunction, q: float, q0: float,
     grid = w.grid
     kappas = kappa_grid if kappa_grid is not None else doubling_kappa_grid(grid)
     table = IntervalNormTable(w, q, q0) if grid.ndim == 1 else None
-    dens: dict = {}
+    dens = {} if grid.ndim != 1 else None
     checks = []
     for kappa in kappas:
         try:
-            chk = norm_doubling(w, q, q0, kappa, fidelity, table, dens)
+            chk = _norm_doubling(w, q, q0, kappa, fidelity, table, dens)
         except DomainError:
             break
         checks.append(chk)

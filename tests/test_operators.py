@@ -133,29 +133,18 @@ class TestAlignedPairKernel:
             got = fractional_maximal(f, alpha, "aligned").values
             assert np.array_equal(got, aligned_maximal_per_width(f, alpha)), alpha
 
-    @pytest.mark.parametrize("block", [1, 3, 32, 256])
-    @pytest.mark.parametrize("depth", [0, 2, 5, 9])
-    def test_block_size_does_not_change_values(self, depth, block):
-        g = Grid(1, depth)
-        h, n = g.cell_side, g.cells_per_side
-        for f in self.inputs(g)[:6]:
-            for alpha in (0.0, 0.25):
-                coef = np.array([0.0] + [(s * h) ** alpha / s for s in range(1, n + 1)])
-                got = covering_pair_max(prefix_sum_1d(np.abs(f.values)), coef, block)
-                assert np.array_equal(got, aligned_maximal_per_width(f, alpha))
-
-    @pytest.mark.parametrize("block", [1, 3, 32])
-    @pytest.mark.parametrize("n", [1, 5, 32, 70])
-    def test_signed_prefix_matches_pair_loop(self, n, block, rng):
+    @pytest.mark.parametrize("n", [1, 5, 31, 32, 33, 70])
+    def test_signed_prefix_matches_pair_loop(self, n, rng):
         # every window sum is negative, so a pair with j <= i, were it read,
-        # would win with its zero coefficient
+        # would win with its zero coefficient; lengths that 32 does not
+        # divide end in a partial block of starts
         prefix = np.concatenate([[0.0], np.cumsum(-rng.uniform(0.1, 1.0, n))])
         coef = np.concatenate([[0.0], rng.uniform(0.5, 2.0, n)])
         expect = np.full(n, -np.inf)
         for i in range(n):
             for j in range(i + 1, n + 1):
                 np.maximum(expect[i:j], coef[j - i] * (prefix[j] - prefix[i]), out=expect[i:j])
-        assert np.array_equal(covering_pair_max(prefix, coef, block), expect)
+        assert np.array_equal(covering_pair_max(prefix, coef), expect)
 
     def test_no_sliding_extreme_call_in_1d(self, monkeypatch):
         calls = []
