@@ -109,13 +109,22 @@ def balance_product(w: GridFunction, exps: ExponentSet, cube: Cube,
     return BalanceResult(cube, interval, norm_part, upper_block, lower_block)
 
 
+def _scalar_powers(values: np.ndarray, exponent: float) -> np.ndarray:
+    """values ** exponent entry by entry with Python's scalar `**`."""
+    return np.array([v**exponent for v in values.tolist()])
+
+
 def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
                            power_blocks: list[BlockCertificate] | None = None,
                            fidelity: Fidelity | None = None) -> BalanceResult:
     """sup over dyadic cubes of the balance product's certified upper end.
 
-    1D uses the all-interval norm table and prefix sums so the sweep over all
-    dyadic cubes is O(N^2); 2D falls back to per-cube evaluation.
+    1D sweeps one dyadic level at a time: restricted norms from the
+    all-interval norm table, block integrals from prefix sums, and only the
+    winning cube is built.  The powers stay Python's scalar `**` per cube
+    (`np.power` can differ from it in the last bit), so each value, the
+    first-strict-improvement winner and its provenance equal a per-cube loop's.
+    2D falls back to per-cube evaluation.
     """
     require_weight(w)
     grid = w.grid
@@ -126,31 +135,39 @@ def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
     best: BalanceResult | None = None
     if grid.ndim == 1:
         table = IntervalNormTable(w, exps.q, exps.q0)
-        pref = prefix_sum_1d(w_neg.values**pc)
-        power_integrands = []
+        g = w_neg.values**pc
+        pref = prefix_sum_1d(g)
+        power_prefs = []
         for cert in power_blocks or []:
             bv = cert.weight.values
-            with np.errstate(divide="ignore"):
-                integrand = np.where(bv > 0, w_neg.values**pc * np.where(bv > 0, bv, 1.0) ** (1.0 - pc), np.inf)
-            power_integrands.append((cert, prefix_sum_1d(np.where(np.isfinite(integrand), integrand, 0.0)),
-                                     np.any(bv <= 0)))
-        for cube in dyadic_cubes(grid):
-            lo, hi = cube.lo[0], cube.hi[0]
-            norm_part = table.value(lo, hi)
-            s = float(pref[hi] - pref[lo]) * cellvol
-            upper_block = (cube.side_length ** (exps.lam * (pc - 1.0)) * s) ** (1.0 / pc)
-            prov = "indicator"
-            for cert, ppref, has_zero in power_integrands:
-                if has_zero:
-                    continue
-                v = (float(ppref[hi] - ppref[lo]) * cellvol) ** (1.0 / pc)
-                if v < upper_block:
-                    upper_block, prov = v, cert.label
-            prefactor = cube.volume ** (exps.alpha / grid.ndim - 1.0)
-            val = prefactor * norm_part * upper_block
-            if best is None or val > best.interval.upper:
-                best = BalanceResult(cube, Interval(0.0, val, {"upper": prov}),
-                                     norm_part, upper_block, None)
+            if np.any(bv <= 0):
+                continue  # its integrand is infinite where the block vanishes
+            integrand = g * bv ** (1.0 - pc)
+            power_prefs.append((cert.label, prefix_sum_1d(np.where(np.isfinite(integrand), integrand, 0.0))))
+        n, h = grid.cells_per_side, grid.cell_side
+        best_val, best_at = None, None
+        for level in range(grid.depth + 1):
+            side = n >> level
+            lo = np.arange(0, n, side)
+            hi = lo + side
+            scale = (side * h) ** (exps.lam * (pc - 1.0))
+            upper = _scalar_powers(scale * ((pref[hi] - pref[lo]) * cellvol), 1.0 / pc)
+            prov = np.full(lo.shape, -1)
+            for j, (_, ppref) in enumerate(power_prefs):
+                v = _scalar_powers((ppref[hi] - ppref[lo]) * cellvol, 1.0 / pc)
+                better = v < upper
+                upper[better] = v[better]
+                prov[better] = j
+            prefactor = (side * h) ** (exps.alpha / grid.ndim - 1.0)
+            norm_part = table.values(lo, hi)
+            for i, val in enumerate((prefactor * norm_part * upper).tolist()):
+                if best_val is None or val > best_val:
+                    best_val = val
+                    best_at = (level, i, float(norm_part[i]), float(upper[i]), int(prov[i]))
+        level, i, norm_val, upper_val, j = best_at
+        label = "indicator" if j < 0 else power_prefs[j][0]
+        best = BalanceResult(grid.dyadic_cube(level, (i,)), Interval(0.0, best_val, {"upper": label}),
+                             norm_val, upper_val, None)
     else:
         for cube in dyadic_cubes(grid):
             res = balance_product(w, exps, cube, power_blocks, fidelity=fidelity)

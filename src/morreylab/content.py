@@ -2,7 +2,12 @@
 
 Content is computed over dyadic covers by an exact bottom-up tree dynamic
 program; it differs from the unrestricted content by at most a dimensional
-factor, and every returned value is labeled dyadic.  The block-space norm has
+factor, and every returned value is labeled dyadic.  The Choquet integral
+needs the content of every level set {phi > t}; it runs the same DP once for
+all of them, carrying each node's content as a step function of how many of
+its cells are in the set and merging children up the tree (O(N log N) time
+and O(N) memory per level, N cells), with the same floats and the same
+reduction order as a DP per level set.  The block-space norm has
 two one-sided estimators: a candidate-set upper bound and a convex-duality
 lower bound with certified primal feasibility at every iterate.
 """
@@ -82,22 +87,24 @@ def hausdorff_content(grid: Grid, mask: np.ndarray, lam: float) -> ContentValue:
     return ContentValue(total, lam, tuple(cover))
 
 
-def _content_values_batched(grid: Grid, masks: np.ndarray, lam: float) -> np.ndarray:
-    """Dyadic contents of many cell sets at once (no covers); masks shape (K,) + grid.shape.
-
-    The same tree DP as `hausdorff_content`, with the same pooling, so each
-    value equals that function's value bit for bit.
-    """
-    h = grid.cell_side
-    costs = np.where(masks, h**lam, 0.0)
-    for level in range(grid.depth - 1, -1, -1):
-        own = ((grid.cells_per_side >> level) * h) ** lam
-        costs = np.minimum(own, level_sums(costs, level, grid.ndim))
-    return costs.reshape(len(masks))
-
-
 def choquet_integral(phi: GridFunction, lam: float) -> float:
-    """Layer-cake integral of phi >= 0 against the dyadic content; exact for steps."""
+    """Layer-cake integral of phi >= 0 against the dyadic content; exact for steps.
+
+    The integral is sum_k (t_{k+1} - t_k) * content({phi > t_k}) over the
+    distinct values t_k (with t_0 = 0).  Every level set is a prefix of one
+    order of the cells (by value, descending, ties by position), so a node's
+    content over all level sets is a step function of how many of its cells
+    are in the set: entry m is the content of its first m cells in that order.
+    Leaves are [0, h^lam].  A parent's entry m takes each child's entry at the
+    number of the parent's first m cells that lie in that child (a stable sort
+    of the children's rank lists and a running count per child), adds them
+    with `level_sums` and caps the sum at its own cost.  When the parent's
+    count is that of a level set, each child's count is that child's count of
+    the same level set, so every entry read is the `min(own, sum of children)`
+    of `hausdorff_content`'s DP on the same floats, in the same reduction
+    order: the result equals the DP run once per level set bit for bit, at
+    O(N log N) time and O(N) memory per level (N cells).
+    """
     vals = phi.values
     if np.any(vals < 0):
         raise DomainError("choquet integral requires a nonnegative function")
@@ -106,8 +113,36 @@ def choquet_integral(phi: GridFunction, lam: float) -> float:
     thresholds = np.concatenate([[0.0], levels[levels > 0]])
     if thresholds.size == 1:
         return 0.0
-    masks = vals[None, ...] > thresholds[:-1].reshape((-1,) + (1,) * phi.grid.ndim)
-    contents = _content_values_batched(phi.grid, masks, lam)
+    grid = phi.grid
+    n = grid.ndim
+    h = grid.cell_side
+    key = -vals.reshape(-1)
+    by_value = np.argsort(key, kind="stable")
+    ranks = np.empty_like(by_value)
+    ranks[by_value] = np.arange(by_value.size)
+    # per node (row-major at its level): its cells' ranks ascending, and
+    # costs[m, node] = content of its first m cells
+    ranks = ranks.reshape(-1, 1)
+    costs = np.zeros((2, ranks.shape[0]))
+    costs[1] = h**lam
+    group = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)) + (2 * n,)
+    spread = (2 * n,) + tuple(a for i in range(n) for a in (i, n + i))
+    for level in range(grid.depth - 1, -1, -1):
+        k = 1 << level
+        c = ranks.shape[1]
+        # each parent's children side by side, children in row-major order
+        merged = ranks.reshape((k, 2) * n + (c,)).transpose(group).reshape(k**n, -1)
+        order = np.argsort(merged, axis=1, kind="stable")
+        ranks = np.take_along_axis(merged, order, axis=1)
+        counts = np.zeros((k**n, 2**n, ranks.shape[1] + 1), dtype=np.intp)
+        np.cumsum(order[:, None, :] // c == np.arange(2**n)[:, None], axis=2, out=counts[:, :, 1:])
+        counts = counts.reshape((k,) * n + (2,) * n + (-1,)).transpose(spread)
+        gathered = np.take_along_axis(costs, counts.reshape(counts.shape[0], -1), axis=0)
+        own = ((grid.cells_per_side >> level) * h) ** lam
+        child_sum = level_sums(gathered.reshape((-1,) + (2 * k,) * n), level, n)
+        costs = np.minimum(own, child_sum).reshape(gathered.shape[0], -1)
+    above = np.searchsorted(key[by_value], -thresholds[:-1], side="left")
+    contents = costs[above, 0]
     gaps = np.diff(thresholds)
     return float(np.sum(gaps * contents))
 

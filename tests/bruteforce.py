@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from morreylab.conditions import DoublingCheck
+from morreylab._windows import level_sums, prefix_sum_1d
+from morreylab.conditions import BalanceResult, DoublingCheck, Interval
 from morreylab.grid import Grid, GridFunction, dilate, dyadic_cubes, iter_family
 from morreylab.norms import IntervalNormTable
 
@@ -103,6 +104,40 @@ def brute_hausdorff_content(grid: Grid, mask: np.ndarray, lam: float) -> float:
     return best
 
 
+def content_values_batched(grid: Grid, masks: np.ndarray, lam: float) -> np.ndarray:
+    """Dyadic contents of many cell sets at once (no covers); masks shape (K,) + grid.shape.
+
+    The tree DP of `hausdorff_content` run on the whole stack of masks, with
+    the same pooling, so each value equals that function's value bit for bit.
+    Time and memory are O(K N).
+    """
+    h = grid.cell_side
+    costs = np.where(masks, h**lam, 0.0)
+    for level in range(grid.depth - 1, -1, -1):
+        own = ((grid.cells_per_side >> level) * h) ** lam
+        costs = np.minimum(own, level_sums(costs, level, grid.ndim))
+    return costs.reshape(len(masks))
+
+
+def choquet_threshold_masks(phi: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The layer-cake data of phi >= 0: thresholds 0 < t_1 < ... (0 and every
+    distinct positive value) and one mask {phi > t} per threshold but the last."""
+    levels = np.unique(phi.values)
+    thresholds = np.concatenate([[0.0], levels[levels > 0]])
+    masks = phi.values[None, ...] > thresholds[:-1].reshape((-1,) + (1,) * phi.grid.ndim)
+    return thresholds, masks
+
+
+def choquet_by_masks(phi: GridFunction, lam: float) -> float:
+    """Choquet integral with one grid-sized mask per threshold, summed in the
+    same `np.sum(gaps * contents)` form as `choquet_integral`."""
+    thresholds, masks = choquet_threshold_masks(phi)
+    if thresholds.size == 1:
+        return 0.0
+    contents = content_values_batched(phi.grid, masks, lam)
+    return float(np.sum(np.diff(thresholds) * contents))
+
+
 def brute_choquet_riemann(phi: GridFunction, lam: float, steps: int = 4000) -> float:
     """Riemann-sum layer cake on a fine threshold grid (upper-level sets)."""
     from morreylab.content import hausdorff_content
@@ -134,3 +169,41 @@ def brute_norm_doubling_1d(table: IntervalNormTable, kappa: float) -> DoublingCh
     if count == 0:
         return None
     return DoublingCheck(worst >= 2.0 * (1 - 1e-12), worst_cube, worst, kappa, count)
+
+
+def brute_balance_upper_supremum_1d(w: GridFunction, exps, power_blocks=None) -> BalanceResult:
+    """The 1D balance upper end as a loop over dyadic cubes: per cube the
+    indicator block in closed form, then each power block without zeros,
+    replaced only on strict improvement; the first cube with the largest
+    product wins."""
+    grid = w.grid
+    pc = exps.p_conj
+    cellvol = grid.cell_volume
+    w_neg = w.power(-1.0)
+    table = IntervalNormTable(w, exps.q, exps.q0)
+    pref = prefix_sum_1d(w_neg.values**pc)
+    power_integrands = []
+    for cert in power_blocks or []:
+        bv = cert.weight.values
+        with np.errstate(divide="ignore"):
+            integrand = np.where(bv > 0, w_neg.values**pc * np.where(bv > 0, bv, 1.0) ** (1.0 - pc), np.inf)
+        power_integrands.append((cert, prefix_sum_1d(np.where(np.isfinite(integrand), integrand, 0.0)),
+                                 np.any(bv <= 0)))
+    best = None
+    for cube in dyadic_cubes(grid):
+        lo, hi = cube.lo[0], cube.hi[0]
+        norm_part = table.value(lo, hi)
+        s = float(pref[hi] - pref[lo]) * cellvol
+        upper_block = (cube.side_length ** (exps.lam * (pc - 1.0)) * s) ** (1.0 / pc)
+        prov = "indicator"
+        for cert, ppref, has_zero in power_integrands:
+            if has_zero:
+                continue
+            v = (float(ppref[hi] - ppref[lo]) * cellvol) ** (1.0 / pc)
+            if v < upper_block:
+                upper_block, prov = v, cert.label
+        prefactor = cube.volume ** (exps.alpha / grid.ndim - 1.0)
+        val = prefactor * norm_part * upper_block
+        if best is None or val > best.interval.upper:
+            best = BalanceResult(cube, Interval(0.0, val, {"upper": prov}), norm_part, upper_block, None)
+    return best

@@ -28,7 +28,12 @@ from morreylab.grid import DomainError, Grid, GridFunction, dilate, dyadic_cubes
 from morreylab.norms import ExponentSet, IntervalNormTable
 from morreylab.weights import power_weight
 
-from bruteforce import brute_fractional_maximal, brute_morrey_norm, brute_norm_doubling_1d
+from bruteforce import (
+    brute_balance_upper_supremum_1d,
+    brute_fractional_maximal,
+    brute_morrey_norm,
+    brute_norm_doubling_1d,
+)
 from conftest import random_function
 
 WORKED = ExponentSet.coupled(1, 2.0, 4.0, 0.125)
@@ -77,6 +82,53 @@ class TestBalanceProduct:
             blocks = sweep_power_blocks(g, WORKED.lam, 0.5)
             vals.append(balance_upper_supremum(w, WORKED, blocks).interval.upper)
         assert classify_trend(vals).label == "blowup"
+
+
+class TestBalanceSweep1D:
+    """The per-level 1D balance sweep against the per-cube loop it replaced:
+    every BalanceResult field and the provenance label with ==."""
+
+    RHOS = (-0.5, -0.125, -0.0625, 0.0, 0.3, 0.6875, 0.75, 1.0)
+
+    def test_rhos_cross_both_boundaries(self):
+        admissible = [power_admissible_maximal(r, WORKED).admissible for r in self.RHOS]
+        assert admissible[0] is False and admissible[-1] is False and any(admissible)
+
+    @pytest.mark.parametrize("depth", range(0, 11))
+    def test_equals_per_cube_loop(self, depth):
+        g = Grid(1, depth)
+        for center in (0.0, 0.3, 0.5):
+            block_sets = [None, [], sweep_power_blocks(g, WORKED.lam, center)]
+            if depth >= 1:
+                # an indicator block vanishes somewhere, so the sweep skips it
+                indicator = make_block(g, WORKED.lam, "indicator", cube=g.dyadic_cube(1, (1,)))
+                block_sets.append([indicator] + block_sets[-1])
+            for rho in self.RHOS:
+                w = power_weight(g, rho, center=center)
+                for blocks in block_sets:
+                    fast = balance_upper_supremum(w, WORKED, blocks)
+                    slow = brute_balance_upper_supremum_1d(w, WORKED, blocks)
+                    assert (fast.cube, fast.norm_part, fast.block_upper, fast.block_lower) == \
+                        (slow.cube, slow.norm_part, slow.block_upper, slow.block_lower)
+                    assert fast.interval.upper == slow.interval.upper
+                    assert fast.interval.lower == slow.interval.lower
+                    assert fast.interval.provenance == slow.interval.provenance
+
+    def test_builds_only_the_winning_cube(self, monkeypatch):
+        g = Grid(1, 8)
+        w = power_weight(g, 0.3, center=0.3)
+        blocks = sweep_power_blocks(g, WORKED.lam, 0.3)
+        built = []
+        real = conditions.Grid.dyadic_cube
+
+        def counting(grid, level, coords):
+            built.append((level, tuple(coords)))
+            return real(grid, level, coords)
+
+        monkeypatch.setattr(conditions.Grid, "dyadic_cube", counting)
+        monkeypatch.setattr(conditions, "dyadic_cubes", None)
+        res = balance_upper_supremum(w, WORKED, blocks)
+        assert len(built) == 1 and res.cube == real(g, *built[0])
 
 
 class TestLocalBlockCondition:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +16,17 @@ from morreylab.content import (
     make_block,
     morrey_norm_via_blocks,
 )
+from morreylab.conditions import sweep_power_blocks
 from morreylab.grid import DomainError, Grid, GridFunction
-from morreylab.norms import morrey_norm_lambda
+from morreylab.norms import ExponentSet, morrey_norm_lambda
 
-from bruteforce import brute_choquet_riemann, brute_hausdorff_content
+from bruteforce import (
+    brute_choquet_riemann,
+    brute_hausdorff_content,
+    choquet_by_masks,
+    choquet_threshold_masks,
+    content_values_batched,
+)
 from conftest import random_function
 
 
@@ -122,28 +131,99 @@ class TestChoquet:
             choquet_integral(GridFunction.constant(grid1d, -1.0), 0.5)
 
     @pytest.mark.parametrize("n,depth,lam", [(1, 6, 0.3), (1, 8, 0.9), (2, 3, 0.6), (2, 4, 1.7)])
-    def test_batched_dp_equals_hausdorff_content(self, monkeypatch, rng, n, depth, lam):
-        """The batched DP of choquet_integral gives hausdorff_content's value
-        bit for bit on every threshold mask that choquet_integral builds."""
+    def test_batched_dp_equals_hausdorff_content(self, rng, n, depth, lam):
+        """The mask-by-mask DP oracle gives hausdorff_content's value bit for
+        bit on every threshold mask of the layer cake."""
         g = Grid(n, depth)
-        real = content._content_values_batched
-        seen = []
-
-        def recording(grid, masks, lam_):
-            values = real(grid, masks, lam_)
-            seen.append((masks, values))
-            return values
-
-        monkeypatch.setattr(content, "_content_values_batched", recording)
         center = 0.3 if n == 1 else (0.3, 0.6)
         for phi in (np.round(rng.uniform(0.0, 3.0, g.shape), 1),
                     rng.uniform(0.0, 1.0, g.shape) * (rng.random(g.shape) < 0.5),
                     weights.power_weight(g, -0.4 * n, center=center).values):
-            choquet_integral(GridFunction(g, phi), lam)
-        assert len(seen) == 3
-        for masks, values in seen:
+            _, masks = choquet_threshold_masks(GridFunction(g, phi))
+            values = content_values_batched(g, masks, lam)
             for mask, value in zip(masks, values):
                 assert value == hausdorff_content(g, mask, lam).value
+
+
+def _choquet_inputs(g: Grid, rng) -> list[np.ndarray]:
+    """Ties (mirror-symmetric power blocks, integer values), all-distinct
+    values, one nonzero value, zeros and a point mass."""
+    n = g.ndim
+    mid = 0.5 if n == 1 else (0.5, 0.5)
+    off = 0.3 if n == 1 else (0.3, 0.6)
+    point = np.zeros(g.shape)
+    point.flat[rng.integers(point.size)] = 2.5
+    return [
+        weights.power_weight(g, -0.4 * n, center=mid).values,
+        weights.power_weight(g, -0.7 * n, center=off).values,
+        rng.integers(0, 5, g.shape).astype(float),
+        rng.exponential(size=g.shape),
+        np.where(rng.random(g.shape) < 0.3, 1.75, 0.0),
+        np.zeros(g.shape),
+        point,
+    ]
+
+
+class TestChoquetMerge:
+    """choquet_integral (step functions merged up the dyadic tree) against
+    the mask-by-mask DP it replaced, with ==."""
+
+    @pytest.mark.parametrize("n,depths", [(1, range(0, 11)), (2, range(0, 6))])
+    def test_equals_mask_dp(self, rng, n, depths):
+        for depth in depths:
+            g = Grid(n, depth)
+            for lam in (0.3 * n, 0.5 * n, 0.9 * n):
+                for phi in _choquet_inputs(g, rng):
+                    f = GridFunction(g, phi)
+                    assert choquet_integral(f, lam) == choquet_by_masks(f, lam), (depth, lam)
+
+    @pytest.mark.parametrize("n,depth", [(1, 11), (1, 12), (2, 6)])
+    def test_equals_mask_dp_deepest(self, rng, n, depth):
+        # the oracle holds one grid-sized mask per distinct value, so the
+        # deepest grids take one lambda and the inputs in turn
+        g = Grid(n, depth)
+        for lam, phi in zip(itertools.cycle((0.3 * n, 0.75 * n)), _choquet_inputs(g, rng)):
+            f = GridFunction(g, phi)
+            assert choquet_integral(f, lam) == choquet_by_masks(f, lam)
+
+    @pytest.mark.parametrize("depth", [8, 10, 12])
+    def test_sweep_power_blocks_equal_mask_dp(self, monkeypatch, depth):
+        """make_block under the oracle builds the same blocks, weights and
+        Choquet integrals bit for bit."""
+        g = Grid(1, depth)
+        lam = ExponentSet.coupled(1, 2.0, 4.0, 0.125).lam
+        fast = sweep_power_blocks(g, lam, 0.5)
+        monkeypatch.setattr(content, "choquet_integral", choquet_by_masks)
+        slow = sweep_power_blocks(g, lam, 0.5)
+        assert len(fast) == len(slow) == 7
+        for a, b in zip(fast, slow):
+            assert a.choquet == b.choquet
+            assert np.array_equal(a.weight.values, b.weight.values)
+
+    def test_memory_stays_linear(self):
+        g = Grid(1, 12)
+        f = GridFunction(g, np.random.default_rng(5).random(g.shape))
+        tracemalloc.start()
+        try:
+            choquet_integral(f, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the mask stack peaked at about 272 MiB here
+        assert peak < 4 * 2**20
+
+    def test_depth_16_against_hausdorff_content(self, rng):
+        # a mask stack would be 32k x 64k cells here; few distinct values
+        # keep the per-threshold reference cheap
+        g = Grid(1, 16)
+        blocks = np.repeat(rng.integers(0, 4, 64), g.cells_per_side // 64)
+        spikes = (rng.random(g.shape) < 1e-3) * rng.integers(1, 3, g.shape)
+        f = GridFunction(g, (blocks + spikes).astype(float))
+        lam = 0.6
+        levels = np.unique(f.values)
+        thresholds = np.concatenate([[0.0], levels[levels > 0]])
+        contents = np.array([hausdorff_content(g, f.values > t, lam).value for t in thresholds[:-1]])
+        assert choquet_integral(f, lam) == float(np.sum(np.diff(thresholds) * contents))
 
 
 class TestBlocks:
