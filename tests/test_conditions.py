@@ -89,25 +89,30 @@ class TestBalanceSweep1D:
     every BalanceResult field and the provenance label with ==."""
 
     RHOS = (-0.5, -0.125, -0.0625, 0.0, 0.3, 0.6875, 0.75, 1.0)
+    # p' = 2 makes the block powers square roots, which np.power and scalar
+    # ** round alike; p' = 3 tells them apart
+    EXPONENTS = (WORKED, ExponentSet.coupled(1, 1.5, 4.0, 0.125))
 
-    def test_rhos_cross_both_boundaries(self):
-        admissible = [power_admissible_maximal(r, WORKED).admissible for r in self.RHOS]
+    @pytest.mark.parametrize("exps", EXPONENTS)
+    def test_rhos_cross_both_boundaries(self, exps):
+        admissible = [power_admissible_maximal(r, exps).admissible for r in self.RHOS]
         assert admissible[0] is False and admissible[-1] is False and any(admissible)
 
+    @pytest.mark.parametrize("exps", EXPONENTS)
     @pytest.mark.parametrize("depth", range(0, 11))
-    def test_equals_per_cube_loop(self, depth):
+    def test_equals_per_cube_loop(self, depth, exps):
         g = Grid(1, depth)
         for center in (0.0, 0.3, 0.5):
-            block_sets = [None, [], sweep_power_blocks(g, WORKED.lam, center)]
+            block_sets = [None, [], sweep_power_blocks(g, exps.lam, center)]
             if depth >= 1:
                 # an indicator block vanishes somewhere, so the sweep skips it
-                indicator = make_block(g, WORKED.lam, "indicator", cube=g.dyadic_cube(1, (1,)))
+                indicator = make_block(g, exps.lam, "indicator", cube=g.dyadic_cube(1, (1,)))
                 block_sets.append([indicator] + block_sets[-1])
             for rho in self.RHOS:
                 w = power_weight(g, rho, center=center)
                 for blocks in block_sets:
-                    fast = balance_upper_supremum(w, WORKED, blocks)
-                    slow = brute_balance_upper_supremum_1d(w, WORKED, blocks)
+                    fast = balance_upper_supremum(w, exps, blocks)
+                    slow = brute_balance_upper_supremum_1d(w, exps, blocks)
                     assert (fast.cube, fast.norm_part, fast.block_upper, fast.block_lower) == \
                         (slow.cube, slow.norm_part, slow.block_upper, slow.block_lower)
                     assert fast.interval.upper == slow.interval.upper
