@@ -109,7 +109,6 @@ def choquet_integral(phi: GridFunction, lam: float) -> float:
     if np.any(vals < 0):
         raise DomainError("choquet integral requires a nonnegative function")
     levels = np.unique(vals)
-    levels = levels[levels >= 0]
     thresholds = np.concatenate([[0.0], levels[levels > 0]])
     if thresholds.size == 1:
         return 0.0
@@ -127,17 +126,21 @@ def choquet_integral(phi: GridFunction, lam: float) -> float:
     costs[1] = h**lam
     group = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)) + (2 * n,)
     spread = (2 * n,) + tuple(a for i in range(n) for a in (i, n + i))
+    children = np.arange(2**n)[:, None]
     for level in range(grid.depth - 1, -1, -1):
         k = 1 << level
         c = ranks.shape[1]
-        # each parent's children side by side, children in row-major order
+        # each parent's children side by side, children in row-major order;
+        # they are sorted runs, which the stable sort merges
         merged = ranks.reshape((k, 2) * n + (c,)).transpose(group).reshape(k**n, -1)
         order = np.argsort(merged, axis=1, kind="stable")
-        ranks = np.take_along_axis(merged, order, axis=1)
+        ranks = np.sort(merged, axis=1, kind="stable")
+        # counts[p, j, m]: how many of parent p's first m cells lie in child j
         counts = np.zeros((k**n, 2**n, ranks.shape[1] + 1), dtype=np.intp)
-        np.cumsum(order[:, None, :] // c == np.arange(2**n)[:, None], axis=2, out=counts[:, :, 1:])
+        np.cumsum(order[:, None, :] // c == children, axis=2, out=counts[:, :, 1:])
         counts = counts.reshape((k,) * n + (2,) * n + (-1,)).transpose(spread)
-        gathered = np.take_along_axis(costs, counts.reshape(counts.shape[0], -1), axis=0)
+        counts = counts.reshape(counts.shape[0], -1)
+        gathered = costs[counts, np.arange(counts.shape[1])]
         own = ((grid.cells_per_side >> level) * h) ** lam
         child_sum = level_sums(gathered.reshape((-1,) + (2 * k,) * n), level, n)
         costs = np.minimum(own, child_sum).reshape(gathered.shape[0], -1)
