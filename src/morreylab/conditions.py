@@ -144,13 +144,14 @@ def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
                 continue  # its integrand is infinite where the block vanishes
             integrand = g * bv ** (1.0 - pc)
             power_prefs.append((cert.label, prefix_sum_1d(np.where(np.isfinite(integrand), integrand, 0.0))))
-        n, h = grid.cells_per_side, grid.cell_side
+        cells = grid.cells_per_side
         best_val, best_at = None, None
         for level in range(grid.depth + 1):
-            side = n >> level
-            lo = np.arange(0, n, side)
+            side = cells >> level
+            side_length = side * grid.cell_side
+            lo = np.arange(0, cells, side)
             hi = lo + side
-            scale = (side * h) ** (exps.lam * (pc - 1.0))
+            scale = side_length ** (exps.lam * (pc - 1.0))
             upper = _scalar_powers(scale * ((pref[hi] - pref[lo]) * cellvol), 1.0 / pc)
             prov = np.full(lo.shape, -1)
             for j, (_, ppref) in enumerate(power_prefs):
@@ -158,7 +159,7 @@ def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
                 better = v < upper
                 upper[better] = v[better]
                 prov[better] = j
-            prefactor = (side * h) ** (exps.alpha / grid.ndim - 1.0)
+            prefactor = side_length ** (exps.alpha / grid.ndim - 1.0)
             norm_part = table.values(lo, hi)
             for i, val in enumerate((prefactor * norm_part * upper).tolist()):
                 if best_val is None or val > best_val:
