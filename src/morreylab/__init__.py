@@ -19,6 +19,8 @@ from .norms import (
     holder_morrey_check,
     morrey_norm,
     morrey_norm_lambda,
+    morrey_norms,
+    restricted_norm_table,
     weighted_morrey_norm,
 )
 from .content import (

@@ -16,6 +16,16 @@ depends on them bit for bit:
   ascending and start lists in order, ties resolve to the smallest cube
   address.
 
+The sum kernels and the arg-sup take leading batch axes: the prefix-sum and
+window-sum kernels slice with `...`, `level_sums` reshapes the last `ndim`
+axes, and `ArgSup` keeps one best per item.  Each item's entries come from
+its own values by the same operations in the same order as an unbatched
+call.  Per item, `ArgSup` picks the first block whose maximum is the largest,
+which is the block a strict-improvement sweep keeps, and within it the first
+maximum in row-major order, so each item's ties resolve among its own
+values only: stacking many same-shape inputs changes no value and no
+witness.
+
 The prefix-sum and window-sum kernels exist once per dimension, because the
 1D forms are cheaper; `window_kernels` picks them once per call.
 
@@ -38,28 +48,33 @@ import numpy as np
 
 
 def prefix_sum_1d(values: np.ndarray) -> np.ndarray:
-    """P with P[i] = sum(values[:i]); length len(values)+1."""
-    out = np.zeros(len(values) + 1, dtype=np.float64)
-    np.cumsum(values, out=out[1:])
+    """P with P[..., i] = sum(values[..., :i]) along the last axis (leading
+    axes are a batch); length N+1 there."""
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=np.float64)
+    np.cumsum(values, axis=-1, out=out[..., 1:])
     return out
 
 
 def window_sums_1d(prefix: np.ndarray, width: int) -> np.ndarray:
-    """Sums over every window [i, i+width); length N-width+1."""
-    return prefix[width:] - prefix[:-width]
+    """Sums over every window [i, i+width) of the last axis; length N-width+1."""
+    return prefix[..., width:] - prefix[..., :-width]
 
 
 def prefix_sum_2d(values: np.ndarray) -> np.ndarray:
-    """Integral image with a zero border; shape (N0+1, N1+1)."""
-    out = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(values, axis=0), axis=1, out=out[1:, 1:])
+    """Integral image of the last two axes with a zero border; shape
+    (..., N0+1, N1+1)."""
+    out = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1] + 1),
+                   dtype=np.float64)
+    np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=out[..., 1:, 1:])
     return out
 
 
 def window_sums_2d(prefix: np.ndarray, width: int) -> np.ndarray:
-    """Sums over every width x width window; shape (N0-width+1, N1-width+1)."""
+    """Sums over every width x width window of the last two axes; shape
+    (..., N0-width+1, N1-width+1)."""
     w = width
-    return (prefix[w:, w:] - prefix[:-w, w:] - prefix[w:, :-w] + prefix[:-w, :-w])
+    return (prefix[..., w:, w:] - prefix[..., :-w, w:] - prefix[..., w:, :-w]
+            + prefix[..., :-w, :-w])
 
 
 def window_kernels(ndim: int):
@@ -102,27 +117,45 @@ def tripled_sums(block: np.ndarray) -> np.ndarray:
 
 
 class ArgSup:
-    """Running arg-sup over blocks of values, offered in sweep order.
+    """Running arg-sup of a batch of items over blocks of values, offered in
+    sweep order.
 
-    `offer(vals, key)` keeps the first maximum of `vals` in row-major order
-    and replaces the best so far only on strict improvement; `key` and
-    `index` (the position in its block) record where the best was found.
+    `offer(vals, key)` takes one block per item, shape (batch,) + block shape,
+    and keeps only each item's block maximum.  `best()` then gives each item's
+    best value and the first offer attaining it, which is the winner of a
+    sweep that replaces its best only on strict improvement; a block holding
+    a NaN never wins (its maximum is NaN), just as a NaN never improves.
+    Within the winning block the winner is the first maximum in row-major
+    order, `first_max` of the block's values, which the caller regenerates:
+    for one winning block per item that costs less than an arg-max of every
+    block.  Each item's result depends on its own values only, so it is the
+    same in any batch.
     """
 
-    __slots__ = ("value", "key", "index")
+    __slots__ = ("keys", "_maxima")
 
     def __init__(self) -> None:
-        self.value = -np.inf
-        self.key = None
-        self.index: tuple = ()
+        self.keys: list = []
+        self._maxima: list[np.ndarray] = []
 
     def offer(self, vals: np.ndarray, key) -> None:
-        k = int(np.argmax(vals))
-        v = vals.flat[k]
-        if v > self.value:
-            self.value = float(v)
-            self.key = key
-            self.index = np.unravel_index(k, vals.shape)
+        self._maxima.append(vals.reshape(vals.shape[0], -1).max(axis=1))
+        self.keys.append(key)
+
+    def best(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per item, the best value and the index of its offer (-1, with value
+        -inf, when no value is above -inf)."""
+        maxima = np.stack(self._maxima)
+        maxima[np.isnan(maxima)] = -np.inf
+        block = np.argmax(maxima, axis=0)
+        value = maxima[block, np.arange(maxima.shape[1])]
+        block[~(value > -np.inf)] = -1
+        return value, block
+
+
+def first_max(vals: np.ndarray) -> np.ndarray:
+    """Per item, the flat index of the first maximum of its block (row-major)."""
+    return np.argmax(vals.reshape(vals.shape[0], -1), axis=1)
 
 
 def sliding_extreme(arr: np.ndarray, width: int, kind: str = "max") -> np.ndarray:

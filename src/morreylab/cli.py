@@ -37,6 +37,7 @@ from .norms import (
     ExponentSet,
     dyadic_weighted_morrey_norm,
     morrey_norm,
+    restricted_norm_table,
     weighted_lp_norm,
 )
 from .operators import dyadic_weighted_maximal, fractional_integral, fractional_maximal
@@ -398,15 +399,23 @@ def run_sweep_power(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict,
         pred_m = power_admissible_maximal(rho, exps)
         pred_i = power_admissible_integral(rho, exps)
 
-        values = [balance_upper_supremum(power_weight(g, rho, center=center), exps,
+        # the weight on the sweep's own grid, and its restricted norms, serve
+        # the doubling search and the balance sweep at that depth alike; the
+        # table goes before the deeper balance levels build theirs, so that
+        # no two tables are held at once
+        w_top = power_weight(grid, rho, center=center)
+        table = restricted_norm_table(w_top, exps.q, exps.q0)
+        search = doubling_search(w_top, exps.q, exps.q0, table=table)
+        kappa_found = search.kappa is not None
+        top = {g: balance_upper_supremum(w_top, exps, blocks, table=table).interval.upper
+               for g, blocks in balance_grids if g == grid}
+        del table
+        values = [top[g] if g in top else
+                  balance_upper_supremum(power_weight(g, rho, center=center), exps,
                                          blocks).interval.upper
                   for g, blocks in balance_grids]
         trend = classify_trend(values, stable_tol=stable_tol, blowup_tol=blowup_tol)
         balance_stable = trend.label == "stable"
-
-        w_top = power_weight(grid, rho, center=center)
-        search = doubling_search(w_top, exps.q, exps.q0)
-        kappa_found = search.kappa is not None
 
         op_classes = {}
         if with_operators:

@@ -33,7 +33,14 @@ from .grid import (
     dyadic_cubes,
     require_weight,
 )
-from .norms import ExponentSet, IntervalNormTable, morrey_norm
+from .norms import (
+    ExponentSet,
+    IntervalNormTable,
+    SupportNormCache,
+    morrey_norm,
+    morrey_norms,
+    restricted_norm_table,
+)
 from .operators import fractional_integral, fractional_maximal
 from .weights import ap_constant
 
@@ -60,8 +67,12 @@ def balance_product(w: GridFunction, exps: ExponentSet, cube: Cube,
                     power_blocks: list[BlockCertificate] | None = None,
                     with_dual: bool = False, dual_tol: float = 0.05,
                     dual_max_iter: int = 200,
-                    fidelity: Fidelity | None = None) -> BalanceResult:
+                    fidelity: Fidelity | None = None,
+                    norm_part: float | None = None) -> BalanceResult:
     """Balance product for one cube, as an interval.
+
+    `norm_part` is ||w 1_Q|| in the (q, q0) scale, for a caller that already
+    holds it (`restricted_norm_table`); it is computed here otherwise.
 
     Upper end: candidate-block upper bound on the block-space factor (dyadic
     indicator blocks in closed form plus any supplied power blocks).  Lower
@@ -74,7 +85,8 @@ def balance_product(w: GridFunction, exps: ExponentSet, cube: Cube,
     pc = exps.p_conj
     cellvol = grid.cell_volume
     prefactor = cube.volume ** (exps.alpha / grid.ndim - 1.0)
-    norm_part = morrey_norm(w, exps.q, exps.q0, fidelity, support=cube).value
+    if norm_part is None:
+        norm_part = morrey_norm(w, exps.q, exps.q0, fidelity, support=cube).value
 
     # the best dyadic-indicator block for w^-1 on the cube is the cube's own
     w_neg = w.power(-1.0)
@@ -116,25 +128,30 @@ def _scalar_powers(values: np.ndarray, exponent: float) -> np.ndarray:
 
 def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
                            power_blocks: list[BlockCertificate] | None = None,
-                           fidelity: Fidelity | None = None) -> BalanceResult:
+                           fidelity: Fidelity | None = None,
+                           table: IntervalNormTable | SupportNormCache | None = None,
+                           ) -> BalanceResult:
     """sup over dyadic cubes of the balance product's certified upper end.
 
-    1D sweeps one dyadic level at a time: restricted norms from the
-    all-interval norm table, block integrals from prefix sums, and only the
-    winning cube is built.  The powers stay Python's scalar `**` per cube
-    (`np.power` can differ from it in the last bit), so each value, the
+    The restricted norms ||w 1_Q|| come from w's `restricted_norm_table` in
+    the (q, q0) scale; a caller that also runs a doubling search on w passes
+    it as `table`, so it is built once.  1D sweeps one dyadic level at a
+    time: block integrals from prefix sums, and only the winning cube is
+    built.  The powers stay Python's scalar `**` per cube (`np.power` can
+    differ from it in the last bit), so each value, the
     first-strict-improvement winner and its provenance equal a per-cube loop's.
-    2D falls back to per-cube evaluation.
+    2D evaluates the other factors per cube.
     """
     require_weight(w)
     grid = w.grid
     pc = exps.p_conj
     cellvol = grid.cell_volume
     w_neg = w.power(-1.0)
+    if table is None:
+        table = restricted_norm_table(w, exps.q, exps.q0)
 
     best: BalanceResult | None = None
     if grid.ndim == 1:
-        table = IntervalNormTable(w, exps.q, exps.q0)
         g = w_neg.values**pc
         pref = prefix_sum_1d(g)
         power_prefs = []
@@ -170,8 +187,12 @@ def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
         best = BalanceResult(grid.dyadic_cube(level, (i,)), Interval(0.0, best_val, {"upper": label}),
                              norm_val, upper_val, None)
     else:
-        for cube in dyadic_cubes(grid):
-            res = balance_product(w, exps, cube, power_blocks, fidelity=fidelity)
+        cubes = dyadic_cubes(grid)
+        norm_parts = table.values(np.array([c.lo for c in cubes]),
+                                  np.array([c.hi for c in cubes]))
+        for cube, norm_part in zip(cubes, norm_parts.tolist()):
+            res = balance_product(w, exps, cube, power_blocks, fidelity=fidelity,
+                                  norm_part=norm_part)
             if best is None or res.interval.upper > best.interval.upper:
                 best = res
     assert best is not None
@@ -236,61 +257,25 @@ class DoublingCheck:
 
 def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
                   fidelity: Fidelity | None = None,
-                  table: IntervalNormTable | None = None) -> DoublingCheck:
+                  table: IntervalNormTable | SupportNormCache | None = None) -> DoublingCheck:
     """Check 2 ||w 1_Q|| <= ||w 1_{kappa Q}|| over dyadic Q whose kappa-dilate
     stays inside the root (unclipped), in the (q, q0) Morrey scale.
 
-    In 1D the norms come from w's IntervalNormTable in that scale; a caller
-    that checks many kappa passes it as `table` so it is built once.  The
-    witness is the first cube attaining the minimal ratio, in dyadic_cubes
-    order.
-    """
-    return _norm_doubling(w, q, q0, kappa, fidelity, table, None)
-
-
-def _norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
-                   fidelity: Fidelity | None, table: IntervalNormTable | None,
-                   dens: dict | None) -> DoublingCheck:
-    """norm_doubling, keeping the 2D denominators ||w 1_Q|| in `dens` by cube.
-
-    The denominators do not depend on kappa, so doubling_search passes one
-    dict through all its kappas.  A dict belongs to one (w, q, q0, fidelity);
-    None starts a new one.
+    One dyadic level at a time: each axis's cell intervals are dilated with
+    `dilate_intervals`, and a level's admissible cubes (every axis unclipped)
+    read their norms from w's `restricted_norm_table` in that scale; a caller
+    that checks many kappa passes it as `table`, so each norm is computed
+    once.  Restricted norms sweep the aligned family whatever the
+    `fidelity`.  A level's first arg-min replaces the best only on strict
+    improvement, so the witness is the first cube attaining the minimal ratio
+    in dyadic_cubes order.
     """
     require_weight(w)
     if kappa <= 1:
         raise DomainError(f"need kappa > 1, got {kappa}")
     grid = w.grid
-    if grid.ndim == 1:
-        return _norm_doubling_1d(table if table is not None else IntervalNormTable(w, q, q0),
-                                 kappa)
-    if dens is None:
-        dens = {}
-    worst, worst_cube, count = math.inf, None, 0
-    for cube in dyadic_cubes(grid):
-        big = dilate(cube, kappa)
-        if big.clipped:
-            continue
-        count += 1
-        num = morrey_norm(w, q, q0, fidelity, support=big).value
-        den = dens.get(cube)
-        if den is None:
-            den = dens[cube] = morrey_norm(w, q, q0, fidelity, support=cube).value
-        ratio = num / den
-        if ratio < worst:
-            worst, worst_cube = ratio, cube
-    if count == 0:
-        raise DomainError(f"no admissible cube: kappa={kappa} too large for the grid")
-    return DoublingCheck(worst >= 2.0 * (1 - 1e-12), worst_cube, worst, kappa, count)
-
-
-def _norm_doubling_1d(table: IntervalNormTable, kappa: float) -> DoublingCheck:
-    """norm_doubling on a 1D grid, one dyadic level at a time.
-
-    A level's first arg-min replaces the level's cubes only on strict
-    improvement, which is the tie order of a loop over dyadic_cubes.
-    """
-    grid = table.grid
+    if table is None:
+        table = restricted_norm_table(w, q, q0)
     n = grid.cells_per_side
     worst, worst_cube, count = math.inf, None, 0
     for level in range(grid.depth + 1):
@@ -300,12 +285,15 @@ def _norm_doubling_1d(table: IntervalNormTable, kappa: float) -> DoublingCheck:
         inside = np.flatnonzero((big_lo >= 0) & (big_hi <= n))
         if inside.size == 0:
             continue
-        count += inside.size
-        ratio = (table.values(big_lo[inside], big_hi[inside])
-                 / table.values(lo[inside], lo[inside] + side))
+        # the admissible cubes' coordinates, row-major as in dyadic_cubes
+        coords = np.stack(np.meshgrid(*[inside] * grid.ndim, indexing="ij"),
+                          axis=-1).reshape(-1, grid.ndim)
+        count += len(coords)
+        ratio = (table.values(big_lo[coords], big_hi[coords])
+                 / table.values(lo[coords], lo[coords] + side)).reshape(-1)
         k = int(np.argmin(ratio))
         if ratio[k] < worst:
-            worst, worst_cube = float(ratio[k]), grid.dyadic_cube(level, (int(inside[k]),))
+            worst, worst_cube = float(ratio[k]), grid.dyadic_cube(level, coords[k])
     if count == 0:
         raise DomainError(f"no admissible cube: kappa={kappa} too large for the grid")
     return DoublingCheck(worst >= 2.0 * (1 - 1e-12), worst_cube, worst, kappa, count)
@@ -324,17 +312,19 @@ class DoublingSearch:
 
 def doubling_search(w: GridFunction, q: float, q0: float,
                     kappa_grid: list[float] | None = None,
-                    fidelity: Fidelity | None = None) -> DoublingSearch:
+                    fidelity: Fidelity | None = None,
+                    table: IntervalNormTable | SupportNormCache | None = None) -> DoublingSearch:
     """Smallest kappa on the geometric grid satisfying the doubling condition,
-    or none if the grid is exhausted."""
-    grid = w.grid
-    kappas = kappa_grid if kappa_grid is not None else doubling_kappa_grid(grid)
-    table = IntervalNormTable(w, q, q0) if grid.ndim == 1 else None
-    dens = {} if grid.ndim != 1 else None
+    or none if the grid is exhausted.  Every kappa reads one
+    `restricted_norm_table` of w (`table` if given), so each support's norm is
+    computed once per search."""
+    kappas = kappa_grid if kappa_grid is not None else doubling_kappa_grid(w.grid)
+    if table is None:
+        table = restricted_norm_table(w, q, q0)
     checks = []
     for kappa in kappas:
         try:
-            chk = _norm_doubling(w, q, q0, kappa, fidelity, table, dens)
+            chk = norm_doubling(w, q, q0, kappa, fidelity, table)
         except DomainError:
             break
         checks.append(chk)
@@ -380,11 +370,14 @@ def norm_attainment_ratio(w: GridFunction, exps: ExponentSet, cube: Cube,
     """Restricted norm of w over the cube divided by the full-cube value
     |Q|^(1/q0) (avg_Q w^q)^(1/q); always >= 1."""
     require_weight(w)
-    grid = w.grid
     num = morrey_norm(w, exps.q, exps.q0, fidelity, support=cube).value
-    mean = float((w.values[cube.slices] ** exps.q).sum()) * grid.cell_volume / cube.volume
-    den = cube.volume ** (1.0 / exps.q0) * mean ** (1.0 / exps.q)
-    return num / den
+    return num / _whole_cube_value(w, exps, cube)
+
+
+def _whole_cube_value(w: GridFunction, exps: ExponentSet, cube: Cube) -> float:
+    """|Q|^(1/q0) (avg_Q w^q)^(1/q): the restricted norm's value at Q itself."""
+    mean = float((w.values[cube.slices] ** exps.q).sum()) * w.grid.cell_volume / cube.volume
+    return cube.volume ** (1.0 / exps.q0) * mean ** (1.0 / exps.q)
 
 
 @dataclass(frozen=True)
@@ -447,7 +440,10 @@ def corpus_norms(w: GridFunction, exps: ExponentSet, corpus: TestCorpus,
                  fidelity: Fidelity | None = None) -> tuple[float, ...]:
     """||f w||_{p, lam} for every corpus entry: the denominators of every
     operator's ratio."""
-    return tuple(morrey_norm(f * w, exps.p, exps.p0, fidelity).value for _, f in corpus.entries)
+    if not corpus.entries:
+        return ()
+    return tuple(morrey_norms([f * w for _, f in corpus.entries], exps.p, exps.p0,
+                              fidelity).values.tolist())
 
 
 def operator_norm_lower_bound(op_tag: str, w: GridFunction, exps: ExponentSet,
@@ -468,9 +464,9 @@ def operator_norm_lower_bound(op_tag: str, w: GridFunction, exps: ExponentSet,
         images = operator_images(op_tag, corpus, exps.alpha, fidelity)
     if dens is None:
         dens = corpus_norms(w, exps, corpus, fidelity)
+    nums = morrey_norms([tf * w for tf in images], exps.q, exps.q0, fidelity).values
     best, best_name, rows = -math.inf, None, []
-    for (name, _), tf, den in zip(corpus.entries, images, dens):
-        num = morrey_norm(tf * w, exps.q, exps.q0, fidelity).value
+    for (name, _), num, den in zip(corpus.entries, nums.tolist(), dens):
         if den == 0 and num == 0:
             continue
         ratio = num / den if den > 0 else math.inf
@@ -576,11 +572,14 @@ def condition_report(w: GridFunction, exps: ExponentSet,
                      fidelity: Fidelity | None = None) -> ConditionReport:
     """One-stop evaluation of the computable conditions for a weight on its
     own grid (no refinement sweep; the cli wires the multi-depth trend)."""
-    balance = balance_upper_supremum(w, exps, power_blocks, fidelity)
-    search = doubling_search(w, exps.q, exps.q0, fidelity=fidelity)
+    table = restricted_norm_table(w, exps.q, exps.q0)
+    balance = balance_upper_supremum(w, exps, power_blocks, fidelity, table)
+    search = doubling_search(w, exps.q, exps.q0, fidelity=fidelity, table=table)
+    cubes = dyadic_cubes(w.grid)
+    nums = morrey_norms([w] * len(cubes), exps.q, exps.q0, supports=cubes).values
     worst, witness = 0.0, None
-    for cube in dyadic_cubes(w.grid):
-        r = norm_attainment_ratio(w, exps, cube, fidelity)
+    for cube, num in zip(cubes, nums.tolist()):
+        r = num / _whole_cube_value(w, exps, cube)
         if r > worst:
             worst, witness = r, cube
     passed = balance.interval.upper <= balance_bound and worst <= attainment_bound

@@ -22,7 +22,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from ._windows import ArgSup
+from ._windows import ArgSup, first_max
 
 Fidelity = Literal["dyadic", "aligned", "shifted"]
 
@@ -333,17 +333,39 @@ class Supremum:
         return self.value
 
 
-def family_sup(grid: Grid, fidelity: Fidelity, window_values,
-               origin: Sequence[int] | None = None,
-               max_side: int | None = None) -> Supremum:
-    """Supremum over a cube family of per-window values, with the attaining cube.
+@dataclass(frozen=True, eq=False)
+class Suprema:
+    """The suprema of a batch of items over one cube family: `values[i]`, and
+    the attaining cube of item i as its lower corner `corners[i]` and side
+    `sides[i]` (cells).  Item i as a `Supremum` is `self[i]`; a caller that
+    needs only the values reads `values` and builds no cube."""
 
-    `window_values(s)` returns the value of every s-sided window of a box whose
-    lower corner is `origin` (default the root's), indexed by the window's
-    corner relative to the box.  The aligned family takes every window of the
-    box; the others gather their corners (`family_blocks` over the root, so
-    they need the box to be the root).  Ties resolve in `iter_family` order:
-    the first attaining cube wins (`ArgSup`).
+    grid: Grid
+    values: np.ndarray
+    corners: np.ndarray
+    sides: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> Supremum:
+        return Supremum(float(self.values[i]),
+                        self.grid.aligned_cube(self.corners[i], int(self.sides[i])))
+
+
+def family_sup(grid: Grid, fidelity: Fidelity, window_values,
+               origins: np.ndarray | None = None,
+               max_side: int | None = None) -> Suprema:
+    """Suprema over a cube family of per-window values for a batch of items,
+    with the attaining cubes.
+
+    `window_values(s)` returns the value of every s-sided window of each
+    item's box, shape (batch,) + windows, indexed by the window's corner
+    relative to the box; item i's box has lower corner `origins[i]` (default
+    the root's).  The aligned family takes every window of the box; the others
+    gather their corners (`family_blocks` over the root, so they need the box
+    to be the root).  Per item, ties resolve in `iter_family` order: the first
+    attaining cube wins (`ArgSup`), whatever else is in the batch.
     """
     sup = ArgSup()
     for s, start_lists in family_blocks(grid, fidelity, max_side):
@@ -352,14 +374,31 @@ def family_sup(grid: Grid, fidelity: Fidelity, window_values,
             sup.offer(vals, (s, None))
             continue
         for starts in itertools.product(start_lists, repeat=grid.ndim):
-            sup.offer(vals[np.ix_(*starts)], (s, starts))
-    if sup.key is None:
+            sup.offer(vals[(slice(None),) + np.ix_(*starts)], (s, starts))
+    if not sup.keys:
         raise DomainError("empty cube family")
-    s, starts = sup.key
-    corner = sup.index if starts is None else [a[i] for a, i in zip(starts, sup.index)]
-    if origin is not None:
-        corner = [o + c for o, c in zip(origin, corner)]
-    return Supremum(sup.value, grid.aligned_cube(corner, s))
+    value, block = sup.best()
+    if np.any(block < 0):
+        raise DomainError("empty cube family")
+    # regenerate each winning side's windows to find the winners in them
+    sides = np.empty(block.shape, dtype=np.int64)
+    corners = np.empty(block.shape + (grid.ndim,), dtype=np.int64)
+    won: dict[int, list[int]] = {}
+    for b in sorted(set(block.tolist())):
+        won.setdefault(sup.keys[b][0], []).append(b)
+    for s, offers in won.items():
+        vals = window_values(s)
+        for b in offers:
+            starts = sup.keys[b][1]
+            sel = np.flatnonzero(block == b)
+            blk = vals[sel] if starts is None else vals[sel][(slice(None),) + np.ix_(*starts)]
+            index = np.unravel_index(first_max(blk), blk.shape[1:])
+            for axis, i in enumerate(index):
+                corners[sel, axis] = i if starts is None else starts[axis][i]
+            sides[sel] = s
+    if origins is not None:
+        corners += origins
+    return Suprema(grid, value, corners, sides)
 
 
 class GridFunction:

@@ -41,9 +41,9 @@ def _sup_product(grid: Grid, fidelity: Fidelity | None, parts) -> Supremum:
         prod = factors[0]
         for fac in factors[1:]:
             prod = prod * fac
-        return prod
+        return prod[None]
 
-    return family_sup(grid, fidelity or grid.default_fidelity(), window_values)
+    return family_sup(grid, fidelity or grid.default_fidelity(), window_values)[0]
 
 
 def ap_constant(w: GridFunction, p: float, fidelity: Fidelity | None = None) -> Supremum:

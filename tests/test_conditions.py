@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from morreylab import conditions
+from morreylab import conditions, norms
 from morreylab.conditions import (
     DoublingSearch,
     annular_bump,
@@ -32,6 +32,7 @@ from bruteforce import (
     brute_balance_upper_supremum_1d,
     brute_fractional_maximal,
     brute_morrey_norm,
+    brute_norm_doubling,
     brute_norm_doubling_1d,
 )
 from conftest import random_function
@@ -215,45 +216,75 @@ class TestDoubling:
             found = expected[-1].kappa if expected[-1].ok else None
             assert doubling_search(w, WORKED.q, WORKED.q0) == DoublingSearch(found, tuple(expected))
 
+    @staticmethod
+    def _recorded_search(w, exps, monkeypatch):
+        """doubling_search on w with every support handed to the batched
+        `morrey_norms` recorded, as ((lo...), (hi...)) boxes."""
+        boxes = []
+        real = norms.morrey_norms
+
+        def recording(fs, *args, supports=None, **kwargs):
+            boxes.extend((tuple(lo), tuple(hi)) for lo, hi in supports)
+            return real(fs, *args, supports=supports, **kwargs)
+
+        monkeypatch.setattr(norms, "morrey_norms", recording)
+        got = doubling_search(w, exps.q, exps.q0)
+        monkeypatch.undo()
+        return got, Counter(boxes)
+
+    @staticmethod
+    def _weights_2d(depth, rng):
+        g = Grid(2, depth)
+        return {"constant": GridFunction.constant(g, 1.0),
+                "random": random_function(g, rng),
+                "power": power_weight(g, 0.25, center=0.5)}
+
     @pytest.mark.parametrize("depth, names", [(3, ("constant", "random", "power")),
                                               (4, ("constant", "random", "power")),
                                               (5, ("power",))])
     def test_2d_search_computes_each_denominator_once(self, depth, names, rng, monkeypatch):
-        # the whole search equals per-kappa uncached checks; at L = 5 one
-        # weight only, as the uncached reference takes seconds per weight
+        # the whole search equals per-kappa per-cube checks, each restricted
+        # norm from its own sweep; at L = 5 one weight only, as the per-cube
+        # reference takes seconds per weight
         e2 = ExponentSet.coupled(2, 2.0, 4.0, 0.25)
-        g = Grid(2, depth)
-        weights = {"constant": GridFunction.constant(g, 1.0),
-                   "random": random_function(g, rng),
-                   "power": power_weight(g, 0.25, center=0.5)}
+        weights = self._weights_2d(depth, rng)
         for name in names:
             w = weights[name]
+            g = w.grid
             expected = []
             for kappa in doubling_kappa_grid(g):
-                try:
-                    chk = norm_doubling(w, e2.q, e2.q0, kappa)
-                except DomainError:
+                chk = brute_norm_doubling(w, e2.q, e2.q0, kappa)
+                if chk is None:
                     break
                 expected.append(chk)
                 if chk.ok:
                     break
             found = expected[-1].kappa if expected[-1].ok else None
 
-            supports = []
-            real = conditions.morrey_norm
-
-            def recording(*args, support=None, **kwargs):
-                supports.append(support)
-                return real(*args, support=support, **kwargs)
-
-            monkeypatch.setattr(conditions, "morrey_norm", recording)
-            got = doubling_search(w, e2.q, e2.q0)
-            monkeypatch.undo()
+            got, boxes = self._recorded_search(w, e2, monkeypatch)
             assert got == DoublingSearch(found, tuple(expected)), name
             # denominators are the dyadic cubes themselves, numerators dilates
-            dens = Counter(c for c in supports if c.nominal_side_cells is None)
+            cubes = {(c.lo, c.hi) for c in dyadic_cubes(g)}
+            dens = Counter({box: k for box, k in boxes.items() if box in cubes})
             assert dens and max(dens.values()) == 1, name
             assert len(dens) == expected[0].admissible_cubes, name
+
+    @pytest.mark.parametrize("depth", [3, 4, 5])
+    def test_2d_search_computes_each_numerator_once(self, depth, rng, monkeypatch):
+        # the numerator supports are the unclipped dilates over every kappa
+        # tried; dilates by different kappa often snap to the same box, and
+        # each distinct box is evaluated once per search
+        e2 = ExponentSet.coupled(2, 2.0, 4.0, 0.25)
+        for name, w in self._weights_2d(depth, rng).items():
+            g = w.grid
+            got, boxes = self._recorded_search(w, e2, monkeypatch)
+            dilates = [(big.lo, big.hi) for chk in got.checks for c in dyadic_cubes(g)
+                       if not (big := dilate(c, chk.kappa)).clipped]
+            cubes = {(c.lo, c.hi) for c in dyadic_cubes(g)}
+            nums = Counter({box: k for box, k in boxes.items() if box not in cubes})
+            assert set(nums) == set(dilates), name
+            assert max(nums.values()) == 1, name
+            assert len(dilates) > len(nums), name
 
     def test_boundary_power_weight_fails(self):
         g = Grid(1, 10)

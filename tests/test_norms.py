@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morreylab.grid import DomainError, Grid, GridFunction
+from morreylab import norms
+from morreylab.grid import Cube, DomainError, Grid, GridFunction, dilate, dyadic_cubes
 from morreylab.norms import (
     ExponentSet,
     IntervalNormTable,
@@ -12,10 +13,13 @@ from morreylab.norms import (
     lp_norm,
     morrey_norm,
     morrey_norm_lambda,
+    morrey_norms,
+    restricted_norm_table,
     weighted_morrey_norm,
 )
+from morreylab.weights import power_weight
 
-from bruteforce import brute_morrey_norm
+from bruteforce import brute_morrey_norm, sweep_morrey_norm
 from conftest import random_function
 
 
@@ -213,6 +217,126 @@ class TestHolder:
             h = random_function(g, rng)
             b = random_function(g, rng)
             assert holder_morrey_check(f, h, b, p).ok
+
+
+DEPTHS = [(1, depth) for depth in range(11)] + [(2, depth) for depth in range(6)]
+
+
+def _batch(grid, rng) -> list[GridFunction]:
+    """Functions with and without ties: a random field, a constant, zero,
+    mirror-symmetric power weights and a point mass."""
+    return [random_function(grid, rng), GridFunction.constant(grid, 1.0),
+            GridFunction.constant(grid, 0.0), power_weight(grid, 0.5, center=0.5),
+            power_weight(grid, -0.25, center=0.5),
+            GridFunction.point_mass(grid, (grid.cells_per_side - 1,) * grid.ndim, 3.0)]
+
+
+def _supports(grid, rng, count: int) -> list:
+    """Dyadic cubes and their dilates, clipped (often not square) ones included,
+    as Cubes and as (lo, hi) boxes, in a random order."""
+    cubes = dyadic_cubes(grid)
+    out = []
+    for kappa in (None, 1.5, 2.0, 3.0):
+        for c in cubes:
+            out.append(c if kappa is None else dilate(c, kappa))
+    picked = [out[i] for i in rng.permutation(len(out))[:count]]
+    return [c if i % 2 else (c.lo, c.hi) for i, c in enumerate(picked)]
+
+
+def _as_cube(grid, support):
+    if isinstance(support, tuple):
+        lo, hi = support
+        return Cube(grid, lo, hi, clipped=len(set(np.subtract(hi, lo))) > 1)
+    return support
+
+
+class TestMorreyNorms:
+    """The batched sweep against each item's own sweep: `==` on value and witness."""
+
+    @pytest.mark.parametrize("ndim, depth", DEPTHS)
+    @pytest.mark.parametrize("fidelity", ["dyadic", "aligned", "shifted"])
+    def test_unrestricted_equal_own_sweeps(self, ndim, depth, fidelity, rng):
+        g = Grid(ndim, depth)
+        fs = _batch(g, rng)
+        for p, p0 in [(2.0, 4.0), (1.5, 2.5)]:
+            got = morrey_norms(fs, p, p0, fidelity)
+            assert len(got) == len(fs)
+            for i, f in enumerate(fs):
+                want = sweep_morrey_norm(f, p, p0, fidelity)
+                assert got[i] == want, (i, p)
+                assert got.values[i] == want.value
+            if g.cell_count <= 64:
+                # the cube-by-cube oracle sums in another order: rounding only
+                expect, _ = brute_morrey_norm(fs[0], p, p0, fidelity)
+                assert got.values[0] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("ndim, depth", DEPTHS)
+    def test_restricted_equal_own_sweeps(self, ndim, depth, rng):
+        g = Grid(ndim, depth)
+        for f in _batch(g, rng)[::2] + [power_weight(g, 0.25, center=0.5)]:
+            supports = _supports(g, rng, 150)
+            got = morrey_norms([f] * len(supports), 2.0, 4.0, supports=supports)
+            for i, support in enumerate(supports):
+                want = sweep_morrey_norm(f, 2.0, 4.0, support=_as_cube(g, support))
+                assert got[i] == want, support
+
+    def test_mixed_functions_and_supports(self, rng):
+        g = Grid(2, 4)
+        fs = _batch(g, rng)
+        supports = _supports(g, rng, 3 * len(fs))
+        items = [(fs[i % len(fs)], s) for i, s in enumerate(supports)]
+        got = morrey_norms([f for f, _ in items], 1.5, 3.0, supports=supports)
+        for i, (f, support) in enumerate(items):
+            assert got[i] == sweep_morrey_norm(f, 1.5, 3.0, support=_as_cube(g, support))
+
+    @pytest.mark.parametrize("ndim, depth", [(1, 6), (2, 3)])
+    def test_batches_spanning_chunks(self, ndim, depth, rng, monkeypatch):
+        g = Grid(ndim, depth)
+        fs = _batch(g, rng) * 3
+        supports = _supports(g, rng, 200)
+        whole = morrey_norms(fs, 2.0, 4.0, "aligned")
+        restricted = morrey_norms([fs[0]] * len(supports), 2.0, 4.0, supports=supports)
+        monkeypatch.setattr(norms, "_BATCH_CELLS", 2 * g.cells_per_side)
+        chunked = morrey_norms(fs, 2.0, 4.0, "aligned")
+        for i, f in enumerate(fs):
+            assert chunked[i] == whole[i] == sweep_morrey_norm(f, 2.0, 4.0, "aligned")
+        chunked = morrey_norms([fs[0]] * len(supports), 2.0, 4.0, supports=supports)
+        assert np.array_equal(chunked.values, restricted.values)
+        assert np.array_equal(chunked.corners, restricted.corners)
+        assert np.array_equal(chunked.sides, restricted.sides)
+
+    def test_morrey_norm_is_a_batch_of_one(self, rng):
+        g = Grid(2, 3)
+        f = random_function(g, rng)
+        q = g.dyadic_cube(1, (1, 0))
+        assert morrey_norm(f, 2.0, 4.0) == morrey_norms([f], 2.0, 4.0)[0]
+        assert morrey_norm(f, 2.0, 4.0, support=q) == morrey_norms([f], 2.0, 4.0, supports=[q])[0]
+
+    def test_support_table_equals_restricted_norms(self, rng):
+        g = Grid(2, 4)
+        w = random_function(g, rng)
+        table = restricted_norm_table(w, 2.0, 4.0)
+        boxes = [_as_cube(g, s) for s in _supports(g, rng, 100)]
+        lo = np.array([c.lo for c in boxes])
+        hi = np.array([c.hi for c in boxes])
+        first = table.values(lo, hi)
+        again = table.values(lo[::-1], hi[::-1])
+        for k, c in enumerate(boxes):
+            assert first[k] == again[-1 - k] == morrey_norm(w, 2.0, 4.0, support=c).value
+
+    def test_bad_batches_raise(self, rng):
+        g = Grid(1, 3)
+        f = random_function(g, rng)
+        with pytest.raises(DomainError):
+            morrey_norms([], 2.0, 4.0)
+        with pytest.raises(DomainError):
+            morrey_norms([f, random_function(Grid(1, 4), rng)], 2.0, 4.0)
+        with pytest.raises(DomainError):
+            morrey_norms([f, f], 2.0, 4.0, supports=[g.root()])
+        with pytest.raises(DomainError):
+            morrey_norms([f], 2.0, 4.0, supports=[((2,), (9,))])
+        with pytest.raises(DomainError):
+            morrey_norms([f], 4.0, 2.0)
 
 
 def test_interval_table_matches_restricted(rng):
