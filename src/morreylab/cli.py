@@ -182,7 +182,7 @@ def run_norms(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict, int]:
     if with_conditions:
         for wi, wspec in enumerate(weights):
             w = function_from_spec(cfg.grid, wspec)
-            rep = condition_report(w, exps, fidelity=cfg.fidelity)
+            rep = condition_report(w, exps)
             rows.append({"function": "", "weight": wi, "quantity": "balance_upper_sup",
                          "value": rep.balance.interval.upper,
                          "witness": _cube_repr(rep.balance.cube),

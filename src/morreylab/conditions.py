@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._windows import prefix_sum_1d, window_kernels
+from ._windows import window_kernels
 from .content import (
     BlockCertificate,
     ConvergenceError,
@@ -63,30 +63,33 @@ class BalanceResult:
     block_lower: float | None
 
 
+_INDICATOR_LABEL = "candidate blocks (dyadic indicators closed form)"
+
+
+def _power_label(cert: BlockCertificate) -> str:
+    return f"candidate blocks (power: {cert.label})"
+
+
 def balance_product(w: GridFunction, exps: ExponentSet, cube: Cube,
                     power_blocks: list[BlockCertificate] | None = None,
                     with_dual: bool = False, dual_tol: float = 0.05,
                     dual_max_iter: int = 200,
-                    fidelity: Fidelity | None = None,
-                    norm_part: float | None = None) -> BalanceResult:
+                    fidelity: Fidelity | None = None) -> BalanceResult:
     """Balance product for one cube, as an interval.
-
-    `norm_part` is ||w 1_Q|| in the (q, q0) scale, for a caller that already
-    holds it (`restricted_norm_table`); it is computed here otherwise.
 
     Upper end: candidate-block upper bound on the block-space factor (dyadic
     indicator blocks in closed form plus any supplied power blocks).  Lower
-    end (optional, costs a dual solve): the duality lower estimator; it is
-    certified only up to the equivalence constant of the dual representation
-    and is labeled as such in the provenance.
+    end (optional, costs a dual solve over the `fidelity` family): the
+    duality lower estimator; it is certified only up to the equivalence
+    constant of the dual representation and is labeled as such in the
+    provenance.
     """
     require_weight(w)
     grid = w.grid
     pc = exps.p_conj
     cellvol = grid.cell_volume
     prefactor = cube.volume ** (exps.alpha / grid.ndim - 1.0)
-    if norm_part is None:
-        norm_part = morrey_norm(w, exps.q, exps.q0, fidelity, support=cube).value
+    norm_part = morrey_norm(w, exps.q, exps.q0, support=cube).value
 
     # the best dyadic-indicator block for w^-1 on the cube is the cube's own
     w_neg = w.power(-1.0)
@@ -94,13 +97,13 @@ def balance_product(w: GridFunction, exps: ExponentSet, cube: Cube,
     corners = tuple(slice(a, b + 1) for a, b in zip(cube.lo, cube.hi))
     s = window_sums(prefix_sum(w_neg.values**pc)[corners], cube.side_cells).item() * cellvol
     upper_block = (cube.side_length ** (exps.lam * (pc - 1.0)) * s) ** (1.0 / pc)
-    provenance = {"upper": "candidate blocks (dyadic indicators closed form)"}
+    provenance = {"upper": _INDICATOR_LABEL}
     if power_blocks:
         g_q = w_neg.restrict(cube)
         alt = block_norm_upper(g_q, pc, exps.lam, power_blocks)
         if alt.value < upper_block:
             upper_block = alt.value
-            provenance["upper"] = f"candidate blocks (power: {alt.block.label})"
+            provenance["upper"] = _power_label(alt.block)
 
     lower_block = None
     if with_dual:
@@ -128,75 +131,67 @@ def _scalar_powers(values: np.ndarray, exponent: float) -> np.ndarray:
 
 def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
                            power_blocks: list[BlockCertificate] | None = None,
-                           fidelity: Fidelity | None = None,
                            table: IntervalNormTable | SupportNormCache | None = None,
                            ) -> BalanceResult:
     """sup over dyadic cubes of the balance product's certified upper end.
 
-    The restricted norms ||w 1_Q|| come from w's `restricted_norm_table` in
-    the (q, q0) scale; a caller that also runs a doubling search on w passes
-    it as `table`, so it is built once.  1D sweeps one dyadic level at a
-    time: block integrals from prefix sums, and only the winning cube is
-    built.  The powers stay Python's scalar `**` per cube (`np.power` can
-    differ from it in the last bit), so each value, the
-    first-strict-improvement winner and its provenance equal a per-cube loop's.
-    2D evaluates the other factors per cube.
+    One dyadic level at a time, in any dimension.  The block integrals are
+    box sums of one integral image of w^(-p') and one per power block: a
+    level's cubes read theirs from the image's entries at multiples of the
+    side, in `balance_product`'s term order.  A power block that vanishes
+    somewhere is skipped, as its integrand is infinite there.  The restricted
+    norms ||w 1_Q|| come from w's `restricted_norm_table` in the (q, q0)
+    scale; a caller that also runs a doubling search on w passes it as
+    `table`, so it is built once.  The powers stay Python's scalar `**` per
+    cube (`np.power` can differ from it in the last bit).  A level's first
+    maximum replaces the best only on strict improvement, so the winner is
+    the first cube in dyadic_cubes order attaining the supremum, and only
+    its `Cube` is built.
     """
     require_weight(w)
     grid = w.grid
+    n = grid.ndim
     pc = exps.p_conj
     cellvol = grid.cell_volume
-    w_neg = w.power(-1.0)
     if table is None:
         table = restricted_norm_table(w, exps.q, exps.q0)
+    prefix_sum, window_sums = window_kernels(n)
+    g = w.power(-1.0).values**pc
+    prefixes, labels = [prefix_sum(g)], [_INDICATOR_LABEL]
+    for cert in power_blocks or []:
+        bv = cert.weight.values
+        if np.any(bv <= 0):
+            continue  # its integrand is infinite where the block vanishes
+        integrand = g * bv ** (1.0 - pc)
+        prefixes.append(prefix_sum(np.where(np.isfinite(integrand), integrand, 0.0)))
+        labels.append(_power_label(cert))
 
-    best: BalanceResult | None = None
-    if grid.ndim == 1:
-        g = w_neg.values**pc
-        pref = prefix_sum_1d(g)
-        power_prefs = []
-        for cert in power_blocks or []:
-            bv = cert.weight.values
-            if np.any(bv <= 0):
-                continue  # its integrand is infinite where the block vanishes
-            integrand = g * bv ** (1.0 - pc)
-            power_prefs.append((cert.label, prefix_sum_1d(np.where(np.isfinite(integrand), integrand, 0.0))))
-        cells = grid.cells_per_side
-        best_val, best_at = None, None
-        for level in range(grid.depth + 1):
-            side = cells >> level
-            side_length = side * grid.cell_side
-            lo = np.arange(0, cells, side)
-            hi = lo + side
-            scale = side_length ** (exps.lam * (pc - 1.0))
-            upper = _scalar_powers(scale * ((pref[hi] - pref[lo]) * cellvol), 1.0 / pc)
-            prov = np.full(lo.shape, -1)
-            for j, (_, ppref) in enumerate(power_prefs):
-                v = _scalar_powers((ppref[hi] - ppref[lo]) * cellvol, 1.0 / pc)
-                better = v < upper
-                upper[better] = v[better]
-                prov[better] = j
-            prefactor = side_length ** (exps.alpha / grid.ndim - 1.0)
-            norm_part = table.values(lo, hi)
-            for i, val in enumerate((prefactor * norm_part * upper).tolist()):
-                if best_val is None or val > best_val:
-                    best_val = val
-                    best_at = (level, i, float(norm_part[i]), float(upper[i]), int(prov[i]))
-        level, i, norm_val, upper_val, j = best_at
-        label = "indicator" if j < 0 else power_prefs[j][0]
-        best = BalanceResult(grid.dyadic_cube(level, (i,)), Interval(0.0, best_val, {"upper": label}),
-                             norm_val, upper_val, None)
-    else:
-        cubes = dyadic_cubes(grid)
-        norm_parts = table.values(np.array([c.lo for c in cubes]),
-                                  np.array([c.hi for c in cubes]))
-        for cube, norm_part in zip(cubes, norm_parts.tolist()):
-            res = balance_product(w, exps, cube, power_blocks, fidelity=fidelity,
-                                  norm_part=norm_part)
-            if best is None or res.interval.upper > best.interval.upper:
-                best = res
-    assert best is not None
-    return best
+    cells = grid.cells_per_side
+    best_val, best_at = None, None
+    for level in range(grid.depth + 1):
+        side = cells >> level
+        side_length = side * grid.cell_side
+        sums = [window_sums(pref[(slice(None, None, side),) * n], 1).reshape(-1) * cellvol
+                for pref in prefixes]
+        upper = _scalar_powers(side_length ** (exps.lam * (pc - 1.0)) * sums[0], 1.0 / pc)
+        prov = np.zeros(upper.shape, dtype=int)
+        for j, s in enumerate(sums[1:], 1):
+            v = _scalar_powers(s, 1.0 / pc)
+            better = v < upper
+            upper[better] = v[better]
+            prov[better] = j
+        # the level's cube corners, row-major as in dyadic_cubes
+        starts = np.arange(0, cells, side)
+        lo = np.stack(np.meshgrid(*[starts] * n, indexing="ij"), axis=-1).reshape(-1, n)
+        norm_part = table.values(lo, lo + side).reshape(-1)
+        vals = (side_length**n) ** (exps.alpha / n - 1.0) * norm_part * upper
+        k = int(np.argmax(vals))
+        if best_val is None or vals[k] > best_val:
+            best_val = float(vals[k])
+            best_at = (level, lo[k] // side, float(norm_part[k]), float(upper[k]), int(prov[k]))
+    level, coords, norm_val, upper_val, j = best_at
+    return BalanceResult(grid.dyadic_cube(level, coords),
+                         Interval(0.0, best_val, {"upper": labels[j]}), norm_val, upper_val, None)
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,6 @@ class DoublingCheck:
 
 
 def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
-                  fidelity: Fidelity | None = None,
                   table: IntervalNormTable | SupportNormCache | None = None) -> DoublingCheck:
     """Check 2 ||w 1_Q|| <= ||w 1_{kappa Q}|| over dyadic Q whose kappa-dilate
     stays inside the root (unclipped), in the (q, q0) Morrey scale.
@@ -265,10 +259,9 @@ def norm_doubling(w: GridFunction, q: float, q0: float, kappa: float,
     `dilate_intervals`, and a level's admissible cubes (every axis unclipped)
     read their norms from w's `restricted_norm_table` in that scale; a caller
     that checks many kappa passes it as `table`, so each norm is computed
-    once.  Restricted norms sweep the aligned family whatever the
-    `fidelity`.  A level's first arg-min replaces the best only on strict
-    improvement, so the witness is the first cube attaining the minimal ratio
-    in dyadic_cubes order.
+    once.  Restricted norms sweep the aligned family.  A level's first
+    arg-min replaces the best only on strict improvement, so the witness is
+    the first cube attaining the minimal ratio in dyadic_cubes order.
     """
     require_weight(w)
     if kappa <= 1:
@@ -312,7 +305,6 @@ class DoublingSearch:
 
 def doubling_search(w: GridFunction, q: float, q0: float,
                     kappa_grid: list[float] | None = None,
-                    fidelity: Fidelity | None = None,
                     table: IntervalNormTable | SupportNormCache | None = None) -> DoublingSearch:
     """Smallest kappa on the geometric grid satisfying the doubling condition,
     or none if the grid is exhausted.  Every kappa reads one
@@ -324,7 +316,7 @@ def doubling_search(w: GridFunction, q: float, q0: float,
     checks = []
     for kappa in kappas:
         try:
-            chk = norm_doubling(w, q, q0, kappa, fidelity, table)
+            chk = norm_doubling(w, q, q0, kappa, table)
         except DomainError:
             break
         checks.append(chk)
@@ -365,12 +357,11 @@ def power_admissible_integral(rho: float, exps: ExponentSet,
     )
 
 
-def norm_attainment_ratio(w: GridFunction, exps: ExponentSet, cube: Cube,
-                          fidelity: Fidelity | None = None) -> float:
-    """Restricted norm of w over the cube divided by the full-cube value
-    |Q|^(1/q0) (avg_Q w^q)^(1/q); always >= 1."""
+def norm_attainment_ratio(w: GridFunction, exps: ExponentSet, cube: Cube) -> float:
+    """Restricted norm of w over the cube (aligned sub-cubes) divided by the
+    full-cube value |Q|^(1/q0) (avg_Q w^q)^(1/q); always >= 1."""
     require_weight(w)
-    num = morrey_norm(w, exps.q, exps.q0, fidelity, support=cube).value
+    num = morrey_norm(w, exps.q, exps.q0, support=cube).value
     return num / _whole_cube_value(w, exps, cube)
 
 
@@ -568,13 +559,12 @@ class ConditionReport:
 def condition_report(w: GridFunction, exps: ExponentSet,
                      power_blocks: list[BlockCertificate] | None = None,
                      balance_bound: float = math.inf,
-                     attainment_bound: float = math.inf,
-                     fidelity: Fidelity | None = None) -> ConditionReport:
+                     attainment_bound: float = math.inf) -> ConditionReport:
     """One-stop evaluation of the computable conditions for a weight on its
     own grid (no refinement sweep; the cli wires the multi-depth trend)."""
     table = restricted_norm_table(w, exps.q, exps.q0)
-    balance = balance_upper_supremum(w, exps, power_blocks, fidelity, table)
-    search = doubling_search(w, exps.q, exps.q0, fidelity=fidelity, table=table)
+    balance = balance_upper_supremum(w, exps, power_blocks, table)
+    search = doubling_search(w, exps.q, exps.q0, table=table)
     cubes = dyadic_cubes(w.grid)
     nums = morrey_norms([w] * len(cubes), exps.q, exps.q0, supports=cubes).values
     worst, witness = 0.0, None

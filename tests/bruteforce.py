@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from morreylab._windows import level_sums, prefix_sum_1d
+from morreylab._windows import level_sums, window_kernels
 from morreylab.conditions import BalanceResult, DoublingCheck, Interval
 from morreylab.grid import (
     Grid,
@@ -23,7 +23,7 @@ from morreylab.grid import (
     family_blocks,
     iter_family,
 )
-from morreylab.norms import IntervalNormTable
+from morreylab.norms import IntervalNormTable, restricted_norm_table
 
 
 def cube_mean(values: np.ndarray, cube) -> float:
@@ -248,37 +248,59 @@ def brute_norm_doubling(w: GridFunction, q: float, q0: float, kappa: float) -> D
     return DoublingCheck(worst >= 2.0 * (1 - 1e-12), worst_cube, worst, kappa, count)
 
 
-def brute_balance_upper_supremum_1d(w: GridFunction, exps, power_blocks=None) -> BalanceResult:
-    """The 1D balance upper end as a loop over dyadic cubes: per cube the
-    indicator block in closed form, then each power block without zeros,
-    replaced only on strict improvement; the first cube with the largest
-    product wins."""
+def box_corners(lo, hi) -> list[tuple[tuple[int, ...], bool]]:
+    """The 2^n integral-image corners of the box [lo, hi), each with whether
+    it is subtracted, in the term order of `_windows.window_sums_2d` (axis
+    0's end varies fastest, upper end first)."""
+    out = []
+    for ends in itertools.product(*[(b, a) for a, b in zip(reversed(lo), reversed(hi))]):
+        corner = ends[::-1]
+        out.append((corner, sum(c == a for c, a in zip(corner, lo)) % 2 == 1))
+    return out
+
+
+def box_sum(image: np.ndarray, corners) -> float:
+    """Inclusion-exclusion over `box_corners` of a zero-bordered integral image."""
+    total = 0.0
+    for corner, subtract in corners:
+        term = float(image[corner])
+        total = total - term if subtract else total + term
+    return total
+
+
+def brute_balance_upper_supremum(w: GridFunction, exps, power_blocks=None) -> BalanceResult:
+    """The balance upper end as a loop over dyadic cubes, in any dimension:
+    per cube the indicator block in closed form, then each power block
+    without zeros, replaced only on strict improvement; the first cube with
+    the largest product wins.  Each block integral is the `box_sum` of a
+    whole-grid integral image over the cube's `box_corners`, and each power is
+    Python's scalar `**`."""
     grid = w.grid
     pc = exps.p_conj
     cellvol = grid.cell_volume
-    w_neg = w.power(-1.0)
-    table = IntervalNormTable(w, exps.q, exps.q0)
-    pref = prefix_sum_1d(w_neg.values**pc)
-    power_integrands = []
+    prefix_sum, _ = window_kernels(grid.ndim)
+    g = w.power(-1.0).values**pc
+    images = [("candidate blocks (dyadic indicators closed form)", prefix_sum(g))]
     for cert in power_blocks or []:
         bv = cert.weight.values
-        with np.errstate(divide="ignore"):
-            integrand = np.where(bv > 0, w_neg.values**pc * np.where(bv > 0, bv, 1.0) ** (1.0 - pc), np.inf)
-        power_integrands.append((cert, prefix_sum_1d(np.where(np.isfinite(integrand), integrand, 0.0)),
-                                 np.any(bv <= 0)))
+        if np.any(bv <= 0):
+            continue
+        integrand = g * bv ** (1.0 - pc)
+        images.append((f"candidate blocks (power: {cert.label})",
+                       prefix_sum(np.where(np.isfinite(integrand), integrand, 0.0))))
+    cubes = dyadic_cubes(grid)
+    norm_parts = restricted_norm_table(w, exps.q, exps.q0).values(
+        np.array([c.lo for c in cubes]), np.array([c.hi for c in cubes])).reshape(-1)
     best = None
-    for cube in dyadic_cubes(grid):
-        lo, hi = cube.lo[0], cube.hi[0]
-        norm_part = table.value(lo, hi)
-        s = float(pref[hi] - pref[lo]) * cellvol
-        upper_block = (cube.side_length ** (exps.lam * (pc - 1.0)) * s) ** (1.0 / pc)
-        prov = "indicator"
-        for cert, ppref, has_zero in power_integrands:
-            if has_zero:
-                continue
-            v = (float(ppref[hi] - ppref[lo]) * cellvol) ** (1.0 / pc)
+    for cube, norm_part in zip(cubes, norm_parts.tolist()):
+        corners = box_corners(cube.lo, cube.hi)
+        sums = [box_sum(image, corners) * cellvol for _, image in images]
+        upper_block = (cube.side_length ** (exps.lam * (pc - 1.0)) * sums[0]) ** (1.0 / pc)
+        prov = images[0][0]
+        for (label, _), s in zip(images[1:], sums[1:]):
+            v = s ** (1.0 / pc)
             if v < upper_block:
-                upper_block, prov = v, cert.label
+                upper_block, prov = v, label
         prefactor = cube.volume ** (exps.alpha / grid.ndim - 1.0)
         val = prefactor * norm_part * upper_block
         if best is None or val > best.interval.upper:

@@ -18,6 +18,7 @@ from morreylab.cli import load_config, run_sweep_power, run_universal
 from morreylab.conditions import (
     make_corpus,
     norm_attainment_ratio,
+    sweep_power_blocks,
 )
 from morreylab.grid import Grid, GridFunction, dyadic_cubes
 from morreylab.norms import ExponentSet, holder_morrey_check, morrey_norm
@@ -33,6 +34,7 @@ from morreylab.weights import power_weight
 
 from bruteforce import (
     brute_ap_constant,
+    brute_balance_upper_supremum,
     brute_fractional_maximal,
     brute_hausdorff_content,
     brute_morrey_norm,
@@ -181,6 +183,72 @@ def test_criterion_4_power_threshold_recovery():
             f"{elapsed:.0f}s")
     assert failures == 0, [r for r in rows if not r["passed"]]
     assert elapsed < 600.0
+
+
+# Every row of the 2D sweep below: rho, balance class, the balance values at
+# depths 3, 5 and 7, j of the found kappa 2^(j/4) (None: none found), the
+# maximal and integral operator-norm classes, and balance_agrees and
+# allowed_miss.  Every row passes and its kappa agrees.
+SWEEP_2D_ROWS = [
+    (-0.75, "blowup", (3.97393977643, 8.00515661806, 16.0154655182), None,
+     "stable", "indeterminate", True, False),
+    (-0.5, "indeterminate", (2.13275755303, 3.0357295033, 4.29416643235), None,
+     "indeterminate", "indeterminate", True, True),
+    (-0.25, "stable", (1.19849018233, 1.20487228251, 1.2051157791), None,
+     "stable", "stable", True, False),
+    (0.0, "stable", (1.0, 1.0, 1.0), 16, "stable", "stable", True, True),
+    (0.25, "stable", (1.07887825479,) * 3, 16, "stable", "stable", True, False),
+    (0.5, "stable", (1.29874060678,) * 3, 15, "stable", "stable", True, False),
+    (0.75, "stable", (1.71485934347,) * 3, 14, "stable", "stable", True, False),
+    (1.0, "stable", (2.63361204534, 2.9828047351, 3.28087434913), 14,
+     "stable", "stable", True, False),
+    (1.25, "indeterminate", (4.34699534839, 6.45308462157, 8.45515431779), 13,
+     "stable", "stable", False, True),
+    (1.5, "indeterminate", (7.43217893944, 15.4097306771, 21.3468334132), 13,
+     "stable", "stable", True, False),
+]
+
+
+def test_power_threshold_recovery_2d():
+    """The criterion-4 sweep in 2D: |x - (1/2, 1/2)|^rho for rho in
+    [-3/4, 3/2] at step 1/4, balance trend at depths 3, 5 and 7 and operator
+    classes at 3 and 5.  Every row is pinned (values to relative 1e-9), and
+    the depth-3 and depth-5 balance values are checked once against the
+    per-cube oracle."""
+    started = time.perf_counter()
+    cfg = load_config({
+        "experiment": "sweep-power", "grid": {"n": 2, "L": 5}, "seed": 2718,
+        "exponents": {"p": 2.0, "p0": 4.0, "alpha": 0.25},
+        "options": {"rho_min": -0.75, "rho_max": 1.75, "rho_step": 0.25,
+                    "levels": [3, 5, 7], "op_levels": [3, 5]},
+    })
+    _, rows, summary, failures = run_sweep_power(cfg)
+    elapsed = time.perf_counter() - started
+    _report("2D power-threshold recovery", failures == 0,
+            f"{len(rows)} grid points, {elapsed:.1f}s")
+    assert summary["boundaries"] == [-0.25, 1.5]
+    assert failures == 0 and len(rows) == len(SWEEP_2D_ROWS)
+    for row, (rho, cls, values, j, op_max, op_int, agrees, allowed) in zip(rows, SWEEP_2D_ROWS):
+        assert row["rho"] == rho
+        assert (row["balance_class"], row["opnorm_maximal_class"],
+                row["opnorm_integral_class"]) == (cls, op_max, op_int), rho
+        assert row["kappa_found"] == ("none" if j is None else 2.0 ** (j / 4.0)), rho
+        assert (row["balance_agrees"], row["kappa_agrees"], row["allowed_miss"],
+                row["passed"]) == (agrees, True, allowed, True), rho
+        got = [float(v) for v in row["balance_values"].split("|")]
+        assert got == pytest.approx(list(values), rel=1e-9), rho
+        assert (row["maximal_admissible"], row["integral_admissible"]) == \
+            (-0.25 <= rho < 1.5, -0.25 < rho < 1.5), rho
+
+    exps = cfg.exponents
+    for k, L in enumerate((3, 5)):
+        g = Grid(2, L)
+        blocks = sweep_power_blocks(g, exps.lam, (0.5, 0.5))
+        for row in rows:
+            w = power_weight(g, row["rho"], center=(0.5, 0.5))
+            oracle = brute_balance_upper_supremum(w, exps, blocks).interval.upper
+            assert float(row["balance_values"].split("|")[k]) == \
+                pytest.approx(oracle, rel=1e-11), (L, row["rho"])
 
 
 def test_criterion_5_counterexample_growth():

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from morreylab import conditions, norms
+from morreylab import _windows, conditions, norms
 from morreylab.conditions import (
     DoublingSearch,
     annular_bump,
@@ -29,7 +29,7 @@ from morreylab.norms import ExponentSet, IntervalNormTable
 from morreylab.weights import power_weight
 
 from bruteforce import (
-    brute_balance_upper_supremum_1d,
+    brute_balance_upper_supremum,
     brute_fractional_maximal,
     brute_morrey_norm,
     brute_norm_doubling,
@@ -85,9 +85,27 @@ class TestBalanceProduct:
         assert classify_trend(vals).label == "blowup"
 
 
+def assert_same_balance(fast, slow):
+    """Every BalanceResult field and the provenance label with ==."""
+    assert (fast.cube, fast.norm_part, fast.block_upper, fast.block_lower) == \
+        (slow.cube, slow.norm_part, slow.block_upper, slow.block_lower)
+    assert fast.interval.upper == slow.interval.upper
+    assert fast.interval.lower == slow.interval.lower
+    assert fast.interval.provenance == slow.interval.provenance
+
+
+def balance_block_sets(g, exps, center):
+    """No power blocks, the sweep ladder, and the ladder behind an indicator
+    block, which vanishes somewhere, so the sweep skips it."""
+    block_sets = [None, sweep_power_blocks(g, exps.lam, center)]
+    if g.depth >= 1:
+        indicator = make_block(g, exps.lam, "indicator", cube=g.dyadic_cube(1, (1,) * g.ndim))
+        block_sets.append([indicator] + block_sets[-1])
+    return block_sets
+
+
 class TestBalanceSweep1D:
-    """The per-level 1D balance sweep against the per-cube loop it replaced:
-    every BalanceResult field and the provenance label with ==."""
+    """The per-level balance sweep in 1D against the per-cube oracle."""
 
     # outside, on and between both boundaries (-1/8 and 3/4 for both sets)
     RHOS = (-0.5, -0.125, 0.3, 0.75, 1.0)
@@ -100,30 +118,17 @@ class TestBalanceSweep1D:
         admissible = [power_admissible_maximal(r, exps).admissible for r in self.RHOS]
         assert admissible[0] is False and admissible[-1] is False and any(admissible)
 
-    @staticmethod
-    def assert_same(w, exps, blocks):
-        fast = balance_upper_supremum(w, exps, blocks)
-        slow = brute_balance_upper_supremum_1d(w, exps, blocks)
-        assert (fast.cube, fast.norm_part, fast.block_upper, fast.block_lower) == \
-            (slow.cube, slow.norm_part, slow.block_upper, slow.block_lower)
-        assert fast.interval.upper == slow.interval.upper
-        assert fast.interval.lower == slow.interval.lower
-        assert fast.interval.provenance == slow.interval.provenance
-
     @pytest.mark.parametrize("exps", [WORKED, P_CONJ_3])
     @pytest.mark.parametrize("depth", range(0, 11))
     def test_equals_per_cube_loop(self, depth, exps):
         g = Grid(1, depth)
         for center in (0.0, 0.3, 0.5):
-            block_sets = [None, sweep_power_blocks(g, exps.lam, center)]
-            if depth >= 1:
-                # an indicator block vanishes somewhere, so the sweep skips it
-                indicator = make_block(g, exps.lam, "indicator", cube=g.dyadic_cube(1, (1,)))
-                block_sets.append([indicator] + block_sets[-1])
+            block_sets = balance_block_sets(g, exps, center)
             for rho in self.RHOS:
                 w = power_weight(g, rho, center=center)
                 for blocks in block_sets:
-                    self.assert_same(w, exps, blocks)
+                    assert_same_balance(balance_upper_supremum(w, exps, blocks),
+                                        brute_balance_upper_supremum(w, exps, blocks))
 
     def test_builds_only_the_winning_cube(self, monkeypatch):
         g = Grid(1, 8)
@@ -140,6 +145,87 @@ class TestBalanceSweep1D:
         monkeypatch.setattr(conditions, "dyadic_cubes", None)
         res = balance_upper_supremum(w, WORKED, blocks)
         assert len(built) == 1 and res.cube == real(g, *built[0])
+
+
+class TestBalanceSweep2D:
+    """The same sweep in 2D: against the per-cube oracle, and without power
+    blocks against a loop of per-cube `balance_product` calls, which is what
+    a 2D condition report used to run."""
+
+    E2 = ExponentSet.coupled(2, 2.0, 4.0, 0.25)
+    E2_P_CONJ_3 = ExponentSet.coupled(2, 1.5, 4.0, 0.25)
+    # outside, on and between both boundaries (-1/4 and 3/2 for both sets)
+    RHOS = (-0.75, -0.25, 0.6, 1.5, 2.0)
+    CENTERS = ((0.0, 0.0), (0.3, 0.7), (0.5, 0.5))
+
+    @pytest.mark.parametrize("exps", [E2, E2_P_CONJ_3])
+    def test_rhos_cross_both_boundaries(self, exps):
+        admissible = [power_admissible_maximal(r, exps).admissible for r in self.RHOS]
+        assert admissible[0] is False and admissible[-1] is False and any(admissible)
+        assert power_admissible_maximal(self.RHOS[1], exps).at_lower_boundary
+        assert power_admissible_maximal(self.RHOS[3], exps).at_upper_boundary
+
+    @pytest.mark.parametrize("exps", [E2, E2_P_CONJ_3])
+    @pytest.mark.parametrize("depth", range(0, 5))
+    def test_equals_per_cube_loop(self, depth, exps):
+        g = Grid(2, depth)
+        for center in self.CENTERS:
+            block_sets = balance_block_sets(g, exps, center)
+            for rho in self.RHOS:
+                w = power_weight(g, rho, center=center)
+                for blocks in block_sets:
+                    assert_same_balance(balance_upper_supremum(w, exps, blocks),
+                                        brute_balance_upper_supremum(w, exps, blocks))
+
+    @pytest.mark.parametrize("exps", [E2, E2_P_CONJ_3])
+    @pytest.mark.parametrize("depth", range(0, 5))
+    def test_equals_balance_product_loop(self, depth, exps, rng):
+        g = Grid(2, depth)
+        weights = [GridFunction.constant(g, 1.0), random_function(g, rng)]
+        weights += [power_weight(g, rho, center=c) for c in self.CENTERS for rho in self.RHOS]
+        for w in weights:
+            best = None
+            for cube in dyadic_cubes(g):
+                res = balance_product(w, exps, cube)
+                if best is None or res.interval.upper > best.interval.upper:
+                    best = res
+            assert_same_balance(balance_upper_supremum(w, exps), best)
+
+    def test_sweeps_without_per_cube_calls(self, monkeypatch):
+        # one integral image of w^(-p') and one per usable power block, read
+        # at every level; no balance_product call and one Cube built
+        g = Grid(2, 5)
+        e2 = self.E2
+        w = power_weight(g, 0.6, center=(0.3, 0.7))
+        blocks = balance_block_sets(g, e2, (0.3, 0.7))[-1]
+        usable = sum(not np.any(b.weight.values <= 0) for b in blocks)
+        assert 0 < usable < len(blocks)
+        table = norms.restricted_norm_table(w, e2.q, e2.q0)
+        expected = balance_upper_supremum(w, e2, blocks, table=table)  # fills the table
+
+        images, built = [], []
+        real_prefix, real_cube = _windows.prefix_sum_2d, conditions.Grid.dyadic_cube
+
+        def counting_prefix(values):
+            images.append(values.shape)
+            return real_prefix(values)
+
+        def counting_cube(grid, level, coords):
+            built.append((level, tuple(coords)))
+            return real_cube(grid, level, coords)
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("per-cube balance_product call")
+
+        monkeypatch.setattr(_windows, "prefix_sum_2d", counting_prefix)
+        monkeypatch.setattr(conditions.Grid, "dyadic_cube", counting_cube)
+        monkeypatch.setattr(conditions, "balance_product", no_call)
+        monkeypatch.setattr(conditions, "dyadic_cubes", None)
+        res = balance_upper_supremum(w, e2, blocks, table=table)
+        monkeypatch.undo()
+        assert images == [g.shape] * (1 + usable)
+        assert len(built) == 1 and res.cube == real_cube(g, *built[0])
+        assert_same_balance(res, expected)
 
 
 class TestLocalBlockCondition:
@@ -454,7 +540,8 @@ class TestClassifier:
 
 
 def test_balance_and_doubling_2d_smoke():
-    # 2D path goes through the generic per-cube evaluators
+    # the balance sweep and the doubling search on a flat 2D weight, against
+    # their closed forms
     e2 = ExponentSet.coupled(2, 2.0, 4.0, 0.25)
     g = Grid(2, 3)
     w = GridFunction.constant(g, 1.0)
