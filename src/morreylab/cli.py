@@ -401,8 +401,8 @@ def run_sweep_power(cfg: ExperimentConfig) -> tuple[list[str], list[dict], dict,
 
         # the weight on the sweep's own grid, and its restricted norms, serve
         # the doubling search and the balance sweep at that depth alike; the
-        # table goes before the deeper balance levels build theirs, so that
-        # no two tables are held at once
+        # other balance levels read only dyadic norms and build no interval
+        # table, and this one goes before the next rho builds its own
         w_top = power_weight(grid, rho, center=center)
         table = restricted_norm_table(w_top, exps.q, exps.q0)
         search = doubling_search(w_top, exps.q, exps.q0, table=table)

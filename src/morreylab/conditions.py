@@ -37,6 +37,7 @@ from .norms import (
     ExponentSet,
     IntervalNormTable,
     SupportNormCache,
+    dyadic_norm_table,
     morrey_norm,
     morrey_norms,
     restricted_norm_table,
@@ -140,9 +141,11 @@ def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
     level's cubes read theirs from the image's entries at multiples of the
     side, in `balance_product`'s term order.  A power block that vanishes
     somewhere is skipped, as its integrand is infinite there.  The restricted
-    norms ||w 1_Q|| come from w's `restricted_norm_table` in the (q, q0)
-    scale; a caller that also runs a doubling search on w passes it as
-    `table`, so it is built once.  The powers stay Python's scalar `**` per
+    norms ||w 1_Q|| in the (q, q0) scale come from `table` when a caller that
+    also runs a doubling search on w passes its `restricted_norm_table`, so
+    it is built once; otherwise from w's `dyadic_norm_table`, which in 1D
+    keeps only the dyadic entries of the interval table (O(N) floats, not
+    N(N+1)/2) with the same values.  The powers stay Python's scalar `**` per
     cube (`np.power` can differ from it in the last bit).  A level's first
     maximum replaces the best only on strict improvement, so the winner is
     the first cube in dyadic_cubes order attaining the supremum, and only
@@ -154,7 +157,7 @@ def balance_upper_supremum(w: GridFunction, exps: ExponentSet,
     pc = exps.p_conj
     cellvol = grid.cell_volume
     if table is None:
-        table = restricted_norm_table(w, exps.q, exps.q0)
+        table = dyadic_norm_table(w, exps.q, exps.q0)
     prefix_sum, window_sums = window_kernels(n)
     g = w.power(-1.0).values**pc
     prefixes, labels = [prefix_sum(g)], [_INDICATOR_LABEL]

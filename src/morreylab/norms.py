@@ -273,47 +273,90 @@ def holder_morrey_check(f: GridFunction, g: GridFunction, b: GridFunction,
     return HolderCheck(lhs, rhs, lhs <= rhs * (1.0 + EXACT_SLACK))
 
 
+# The largest IntervalNormTable built, in floats: 1D depth 13 (N = 8192, 268 MB)
+# fits, depth 14 (1.07 GB) does not.
+MAX_TABLE_FLOATS = 1 << 26
+
+
+def _interval_norm_rows(f: GridFunction, p: float, p0: float):
+    """Yield, for s = 1..N in turn, the row of restricted Morrey norms over the
+    1D cell intervals [i, i+s) of width s: the larger of the interval's own
+    scaled window norm and the entries of its two width-(s-1) sub-intervals,
+    so only the previous row need be held."""
+    grid = f.grid
+    if grid.ndim != 1:
+        raise DomainError("interval tables are 1D only")
+    h = grid.cell_side
+    prefix = prefix_sum_1d(np.abs(f.values) ** p)
+    cellvol = grid.cell_volume
+    prev = None
+    for s in range(1, grid.cells_per_side + 1):
+        vol = s * h
+        c = vol ** (1.0 / p0) * (cellvol / vol) ** (1.0 / p)
+        row = c * np.maximum(window_sums_1d(prefix, s), 0.0) ** (1.0 / p)
+        if prev is not None:
+            row = np.maximum(row, np.maximum(prev[:-1], prev[1:]))
+        yield row
+        prev = row
+
+
 class IntervalNormTable:
     """All restricted Morrey norms of one function over 1D cell intervals.
 
     table.value(lo, hi) equals morrey_norm(f restricted to [lo, hi), aligned
-    family, support=[lo, hi)) and costs O(1) after an O(N^2) build.  Used by
-    the doubling search where many thousands of restricted norms are needed.
+    family, support=[lo, hi)) up to rounding and costs O(1) after an O(N^2)
+    build that keeps every row of `_interval_norm_rows`: N(N+1)/2 floats, so
+    a table of more than MAX_TABLE_FLOATS raises DomainError before anything
+    is allocated.  Used by the doubling search, which reads intervals of every
+    width.
     """
 
     def __init__(self, f: GridFunction, p: float, p0: float):
-        grid = f.grid
-        if grid.ndim != 1:
-            raise DomainError("interval tables are 1D only")
-        self.grid = grid
-        n = grid.cells_per_side
-        h = grid.cell_side
-        g = np.abs(f.values) ** p
-        prefix = prefix_sum_1d(g)
-        cellvol = grid.cell_volume
-        rows: list[np.ndarray] = [np.empty(0)]  # rows[s][i] = norm over [i, i+s)
-        for s in range(1, n + 1):
-            vol = s * h
-            c = vol ** (1.0 / p0) * (cellvol / vol) ** (1.0 / p)
-            vals = c * np.maximum(window_sums_1d(prefix, s), 0.0) ** (1.0 / p)
-            if s > 1:
-                prev = rows[s - 1]
-                vals = np.maximum(vals, np.maximum(prev[:-1], prev[1:]))
-            rows.append(vals)
-        self._rows = rows
+        n = f.grid.cells_per_side
+        if n * (n + 1) // 2 > MAX_TABLE_FLOATS:
+            raise DomainError(f"an interval norm table of {n} cells needs "
+                              f"{n * (n + 1) // 2} floats, over {MAX_TABLE_FLOATS}")
+        self.grid = f.grid
+        self._rows = [np.empty(0), *_interval_norm_rows(f, p, p0)]  # rows[s][i]: [i, i+s)
+
+    def _read(self, s: int, lo: np.ndarray) -> np.ndarray:
+        return self._rows[s][lo]
 
     def value(self, lo: int, hi: int) -> float:
-        return float(self._rows[hi - lo][lo])
+        return float(self._read(hi - lo, lo))
 
     def values(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """`value` over arrays of intervals [lo[k], hi[k]) of any one shape
         (a 1D box corner array, shape (k, 1), included)."""
         width = hi - lo
+        if width.size and np.all(width == width.flat[0]):
+            return self._read(int(width.flat[0]), lo)
         out = np.empty(width.shape)
         for s in np.unique(width):
             sel = width == s
-            out[sel] = self._rows[s][lo[sel]]
+            out[sel] = self._read(int(s), lo[sel])
         return out
+
+
+class DyadicNormTable(IntervalNormTable):
+    """The entries of IntervalNormTable at the dyadic intervals only.
+
+    It runs the same row sweep and keeps rows[2^k][::2^k] of each dyadic
+    width, dropping every row once the next is built, so it holds O(N) floats
+    and its entries equal the full table's bit for bit.  Reading any other
+    interval raises DomainError.  Used by the balance supremum, which reads
+    dyadic cubes only.
+    """
+
+    def __init__(self, f: GridFunction, p: float, p0: float):
+        self._rows = {s: row[::s].copy()
+                      for s, row in enumerate(_interval_norm_rows(f, p, p0), 1)
+                      if s & (s - 1) == 0}
+
+    def _read(self, s: int, lo: np.ndarray) -> np.ndarray:
+        if s not in self._rows or np.any(lo % s):
+            raise DomainError(f"not a dyadic interval of width {s}")
+        return self._rows[s][lo // s]
 
 
 class SupportNormCache:
@@ -358,11 +401,24 @@ class SupportNormCache:
         return self._values[pos]
 
 
+def _norm_reader(interval_table: type[IntervalNormTable], f: GridFunction, p: float,
+                 p0: float) -> IntervalNormTable | SupportNormCache:
+    if f.grid.ndim == 1:
+        return interval_table(f, p, p0)
+    return SupportNormCache(f, p, p0)
+
+
 def restricted_norm_table(f: GridFunction, p: float,
                           p0: float) -> IntervalNormTable | SupportNormCache:
-    """The restricted norms of f that a doubling or balance search reads, by
-    box: in 1D the all-interval IntervalNormTable (every interval at once, in
-    its own rounding), otherwise a SupportNormCache (`morrey_norm` exactly)."""
-    if f.grid.ndim == 1:
-        return IntervalNormTable(f, p, p0)
-    return SupportNormCache(f, p, p0)
+    """The restricted norms of f that a doubling search reads, by box: in 1D
+    the all-interval IntervalNormTable (every interval at once, in its own
+    rounding), otherwise a SupportNormCache (`morrey_norm` exactly)."""
+    return _norm_reader(IntervalNormTable, f, p, p0)
+
+
+def dyadic_norm_table(f: GridFunction, p: float,
+                      p0: float) -> DyadicNormTable | SupportNormCache:
+    """`restricted_norm_table` for a reader of dyadic cubes only: in 1D the
+    O(N)-memory DyadicNormTable, whose entries equal the interval table's;
+    otherwise the same SupportNormCache."""
+    return _norm_reader(DyadicNormTable, f, p, p0)

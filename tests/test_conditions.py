@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -145,6 +146,32 @@ class TestBalanceSweep1D:
         monkeypatch.setattr(conditions, "dyadic_cubes", None)
         res = balance_upper_supremum(w, WORKED, blocks)
         assert len(built) == 1 and res.cube == real(g, *built[0])
+
+    @pytest.mark.parametrize("depth", range(8, 13))
+    def test_without_table_equals_interval_table(self, depth):
+        # the sweep's own power blocks and centre, as at the balance levels
+        # of sweep-power
+        g = Grid(1, depth)
+        blocks = sweep_power_blocks(g, WORKED.lam, 0.5)
+        for rho in self.RHOS:
+            w = power_weight(g, rho, center=0.5)
+            res = balance_upper_supremum(w, WORKED, blocks)
+            table = IntervalNormTable(w, WORKED.q, WORKED.q0)
+            assert_same_balance(res, balance_upper_supremum(w, WORKED, blocks, table=table))
+            assert_same_balance(res, brute_balance_upper_supremum(w, WORKED, blocks))
+
+    def test_without_table_holds_no_interval_table(self):
+        # an L=12 interval table alone is N(N+1)/2 floats, about 67 MB
+        g = Grid(1, 12)
+        w = power_weight(g, -0.0625, center=0.5)
+        blocks = sweep_power_blocks(g, WORKED.lam, 0.5)
+        tracemalloc.start()
+        try:
+            balance_upper_supremum(w, WORKED, blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestBalanceSweep2D:

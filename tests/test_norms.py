@@ -349,6 +349,80 @@ def test_interval_table_matches_restricted(rng):
         assert table.value(lo, hi) == pytest.approx(expect, rel=1e-12)
 
 
+def _row_sweep_inputs(g, rng):
+    """Power weights below, at and above rho = 0, a random field, and a
+    function with zeros and a point mass."""
+    spiky = np.where(rng.uniform(size=g.shape) < 0.4, 0.0, rng.uniform(0.0, 2.0, g.shape))
+    spiky[g.cells_per_side // 3] += 1e6
+    return [power_weight(g, -0.3, center=0.3), power_weight(g, 0.0),
+            power_weight(g, 0.7, center=0.5), random_function(g, rng),
+            GridFunction(g, spiky)]
+
+
+def _dyadic_intervals(g, level):
+    side = g.cells_per_side >> level
+    lo = np.arange(0, g.cells_per_side, side)
+    return lo, lo + side
+
+
+class TestIntervalTables:
+    # (2, 4) takes the row's 1/p power through numpy's sqrt path
+    @pytest.mark.parametrize("p, p0", [(2.0, 4.0), (4.0, 8.0)])
+    @pytest.mark.parametrize("depth", range(0, 13))
+    def test_dyadic_table_equals_interval_table(self, depth, p, p0, rng):
+        g = Grid(1, depth)
+        cubes = dyadic_cubes(g)
+        lo_all = np.array([c.lo for c in cubes])
+        hi_all = np.array([c.hi for c in cubes])
+        for f in _row_sweep_inputs(g, rng):
+            full = IntervalNormTable(f, p, p0)
+            dyadic = norms.DyadicNormTable(f, p, p0)
+            for level in range(depth + 1):
+                lo, hi = _dyadic_intervals(g, level)
+                assert np.array_equal(dyadic.values(lo, hi), full.values(lo, hi))
+            # mixed widths, in box-corner shape (k, 1)
+            assert np.array_equal(dyadic.values(lo_all, hi_all), full.values(lo_all, hi_all))
+            assert dyadic.value(0, g.cells_per_side) == full.value(0, g.cells_per_side)
+
+    def test_values_one_width_and_mixed_read_the_same_entries(self, rng):
+        g = Grid(1, 6)
+        table = IntervalNormTable(random_function(g, rng), 2.0, 4.0)
+        lo = rng.integers(0, 40, size=50)
+        hi = lo + rng.integers(1, 25, size=50)
+        expect = np.array([table.value(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+        assert np.array_equal(table.values(lo, hi), expect)
+        assert np.array_equal(table.values(lo[:, None], hi[:, None]), expect[:, None])
+        assert np.array_equal(table.values(lo, lo + 7), [table.value(a, a + 7) for a in lo.tolist()])
+        assert table.values(lo[:0], hi[:0]).shape == (0,)
+
+    def test_dyadic_table_refuses_other_intervals(self, rng):
+        g = Grid(1, 4)
+        dyadic = norms.DyadicNormTable(random_function(g, rng), 2.0, 4.0)
+        for lo, hi in [(0, 3), (2, 6), (1, 3), (4, 4)]:
+            with pytest.raises(DomainError):
+                dyadic.values(np.array([lo]), np.array([hi]))
+        with pytest.raises(DomainError):
+            norms.DyadicNormTable(random_function(Grid(2, 2), rng), 2.0, 4.0)
+        with pytest.raises(DomainError):
+            IntervalNormTable(random_function(Grid(2, 2), rng), 2.0, 4.0)
+
+    def test_memory_guard(self, rng, monkeypatch):
+        # the real limit admits depth 13 and refuses depth 14; checked by
+        # arithmetic alone, so a broken guard allocates nothing large here
+        assert 8192 * 8193 // 2 <= norms.MAX_TABLE_FLOATS < 16384 * 16385 // 2
+        monkeypatch.setattr(norms, "MAX_TABLE_FLOATS", 32 * 33 // 2)
+        IntervalNormTable(random_function(Grid(1, 5), rng), 2.0, 4.0)
+        f6 = random_function(Grid(1, 6), rng)
+        norms.DyadicNormTable(f6, 2.0, 4.0)  # keeps O(N) floats: no guard
+
+        def no_rows(*args):
+            raise AssertionError("the row sweep started")
+
+        monkeypatch.setattr(norms, "_interval_norm_rows", no_rows)
+        with pytest.raises(DomainError):
+            IntervalNormTable(f6, 2.0, 4.0)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
 def test_morrey_deterministic_over_seeds(seed):
