@@ -109,7 +109,8 @@ def broadcast_level(vals: np.ndarray, side: int) -> np.ndarray:
 def tripled_sums(block: np.ndarray) -> np.ndarray:
     """Sum of each block with its (clipped) neighbours: the integral over 3Q.
     The 3^n terms are added in row-major offset order."""
-    padded = np.pad(block, 1)
+    padded = np.zeros(tuple(m + 2 for m in block.shape), dtype=block.dtype)
+    padded[(slice(1, -1),) * block.ndim] = block
     out = np.zeros_like(block)
     for offset in itertools.product(range(3), repeat=block.ndim):
         out += padded[tuple(slice(d, d + m) for d, m in zip(offset, block.shape))]

@@ -3,7 +3,7 @@
 Every experiment is a pure function of (config, seed): reports contain no
 timestamps or machine state, so identical inputs produce byte-identical
 outputs.  Exit codes: 0 all asserted checks pass, 1 check failure, 2 config
-error.
+error, 3 a run left the supported domain (DomainError).
 """
 
 from __future__ import annotations
@@ -581,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except DomainError as err:
+        print(f"domain error: {err}", file=sys.stderr)
+        return 3
     return 1 if failures else 0
 
 

@@ -22,8 +22,6 @@ from ._windows import broadcast_level
 from .grid import Cube, DomainError, Grid, GridFunction, dilate
 from .operators import (
     _dilated_scaled_averages,
-    fractional_integral,
-    fractional_maximal,
     local_dyadic_maximal,
     sparse_integral_form,
     sparse_maximal_form,
@@ -224,14 +222,13 @@ def _check_recorded_values(f: GridFunction, family: SparseFamily) -> None:
 class MaximalDomination:
     local_ok: bool
     local_constant: float      # max of local maximal / sparse form (explicit bound = a)
-    explicit_bound: float
-    global_constant: float     # measured C in M_alpha f <= C * sparse + tail
-    interior_constant: float   # same, cells whose sup cube never clips
+    explicit_bound: float      # a = 9^n 2^(n+1-alpha), the threshold ratio
 
 
 def verify_domination_maximal(f: GridFunction, alpha: float,
                               result: SparseResult) -> MaximalDomination:
-    """Pointwise check of the dominating chain on the base cube."""
+    """Pointwise check on the base cube of the local dyadic fractional maximal
+    function against the sparse form."""
     family = result.family
     base = family.base
     _check_recorded_values(f, family)
@@ -243,33 +240,10 @@ def verify_domination_maximal(f: GridFunction, alpha: float,
         ratios = np.where(sparse_vals > 0, local / np.maximum(sparse_vals, 1e-300), np.where(local > 0, np.inf, 0.0))
     local_constant = float(ratios.max(initial=0.0))
     local_ok = local_constant <= a * (1 + EXACT_SLACK)
-
-    full = fractional_maximal(f, alpha).values[base.slices]
-    excess = np.maximum(full - result.tail, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        global_ratios = np.where(sparse_vals > 0, excess / np.maximum(sparse_vals, 1e-300),
-                                 np.where(excess > 0, np.inf, 0.0))
-    # 3Q clipping near the root boundary can weaken the comparison; report the
-    # constant separately for cells one base-side away from the boundary.
-    n_cells = grid.cells_per_side
-    side = base.side_cells
-    interior = global_ratios
-    axes_ok = all(base.lo[i] >= side and base.hi[i] <= n_cells - side
-                  for i in range(grid.ndim))
-    if not axes_ok:
-        inner = [slice(None)] * grid.ndim
-        for i in range(grid.ndim):
-            lo_cut = max(side - base.lo[i], 0)
-            hi_cut = max(side - (n_cells - base.hi[i]), 0)
-            inner[i] = slice(lo_cut, base.hi[i] - base.lo[i] - hi_cut)
-        trimmed = global_ratios[tuple(inner)]
-        interior = trimmed if trimmed.size else global_ratios[:0]
     return MaximalDomination(
         local_ok=local_ok,
         local_constant=local_constant,
         explicit_bound=a,
-        global_constant=float(global_ratios.max(initial=0.0)),
-        interior_constant=float(interior.max(initial=0.0)),
     )
 
 
@@ -280,7 +254,6 @@ class IntegralDomination:
     explicit_bound: float      # a = 9^n 2^(n+1)
     provable_ok: bool          # same with the geometric chain factor restored
     provable_bound: float      # (a + 1) / (1 - 2^(-alpha))
-    outer_constant: float      # measured C1 in I_alpha f <= C1 (dyadic form + tail)
 
 
 def dyadic_sum_form(f: GridFunction, alpha: float, base: Cube) -> np.ndarray:
@@ -295,12 +268,13 @@ def dyadic_sum_form(f: GridFunction, alpha: float, base: Cube) -> np.ndarray:
 
 def verify_domination_integral(f: GridFunction, alpha: float,
                                result: SparseResult) -> IntegralDomination:
-    """Two-step chain: the full integral against the dyadic sum plus the tail,
-    and the dyadic sum against the sparse form.
+    """Pointwise check on the base cube of the dyadic-sum form against the
+    sparse form.
 
-    The bare factor a of the second step is checked as stated; the provable
-    grid bound carries the extra geometric chain factor 1/(1 - 2^(-alpha)),
-    and the measured constant makes the slack visible.
+    The bare factor a is checked as stated; the provable grid bound carries
+    the extra geometric chain factor 1/(1 - 2^(-alpha)), and the measured
+    constant makes the slack visible.  The step from I_alpha f to the dyadic
+    sum plus the tail is not computed here.
     """
     family = result.family
     base = family.base
@@ -314,19 +288,12 @@ def verify_domination_integral(f: GridFunction, alpha: float,
                           np.where(dyadic_vals > 0, np.inf, 0.0))
     measured = float(ratios.max(initial=0.0))
     provable = (a + 1.0) / (1.0 - 2.0 ** (-alpha)) if alpha > 0 else math.inf
-
-    integral_vals = fractional_integral(f, alpha).values[base.slices]
-    denom = dyadic_vals + result.tail
-    with np.errstate(divide="ignore", invalid="ignore"):
-        outer = np.where(denom > 0, integral_vals / np.maximum(denom, 1e-300),
-                         np.where(integral_vals > 0, np.inf, 0.0))
     return IntegralDomination(
         explicit_ok=measured <= a * (1 + EXACT_SLACK),
         explicit_constant=measured,
         explicit_bound=a,
         provable_ok=measured <= provable * (1 + EXACT_SLACK),
         provable_bound=provable,
-        outer_constant=float(outer.max(initial=0.0)),
     )
 
 

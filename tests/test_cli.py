@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from morreylab import cli
+import morreylab
+from morreylab import cli, conditions, operators, sparse
 from morreylab.cli import (
     SWEEP_HEADER,
     ConfigError,
@@ -62,6 +63,32 @@ def test_sparse_fuzz_runs_green(tmp_path):
     assert run(cfg) == 0
     rows = (tmp_path / "sparse-fuzz.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 16  # header + two rows per instance
+
+
+def test_sparse_fuzz_makes_no_whole_grid_operator_call(tmp_path, monkeypatch):
+    # sparse-fuzz asserts only the local chain, so it needs neither M_alpha f
+    # nor I_alpha f on the whole grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-grid operator called")
+
+    for module in (morreylab, cli, conditions, operators, sparse):
+        for name in ("fractional_maximal", "fractional_integral"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for n, depth in ((1, 8), (2, 4)):
+        cfg = tmp_path / f"fuzz{n}.json"
+        cfg.write_text(json.dumps({"grid": {"n": n, "L": depth}, "seed": 5,
+                                   "options": {"instances": 4}}))
+        assert main(["sparse-fuzz", "--config", str(cfg),
+                     "--out", str(tmp_path / f"r{n}")]) == 0
+
+
+@pytest.mark.parametrize("n, depth", [(1, 13), (2, 7)])
+def test_sparse_fuzz_past_dense_riesz_caps(tmp_path, n, depth):
+    # the dense Riesz sum stops at 1D depth 12 and 2D depth 6; sparse-fuzz
+    # does not reach it
+    cfg = load_config({"experiment": "sparse-fuzz", "grid": {"n": n, "L": depth},
+                       "seed": 17, "out": str(tmp_path), "options": {"instances": 3}})
+    assert run(cfg) == 0
 
 
 def test_norms_experiment(tmp_path):
@@ -186,6 +213,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["universal", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     out = capsys.readouterr().out
     assert "universal" in out
+    # op level 13 passes config validation but the dense 1D Riesz sum stops
+    # at depth 12: a run error gets its own code and a one-line message
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"grid": {"n": 1, "L": 6},
+                                "options": {"levels": [4, 6], "op_levels": [4, 13]}}))
+    assert main(["sweep-power", "--config", str(deep), "--out", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
 
 
 def test_run_subcommand_dispatches_from_config(tmp_path):

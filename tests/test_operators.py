@@ -217,6 +217,22 @@ class TestLocalDyadicMaximal:
         const = float(((full - tail) / np.maximum(local, 1e-300)).max())
         assert math.isfinite(const)
 
+    def test_integral_dominated_by_dyadic_sum(self):
+        # the outer step of the integral chain, I_alpha f against the dyadic
+        # sum form plus the dilation tail, is measured, not asserted
+        from morreylab.sparse import build_sparse_integral, dyadic_sum_form
+
+        g = Grid(1, 7)
+        for seed in range(30):
+            rng = np.random.default_rng(2000 + seed)
+            f = GridFunction(g, np.exp(rng.uniform(-3, 3, g.shape)))
+            alpha = float(rng.choice([0.125, 0.5, 0.75]))
+            base = g.root()
+            full = fractional_integral(f, alpha).values
+            denom = dyadic_sum_form(f, alpha, base) + build_sparse_integral(f, alpha, base).tail
+            const = float((full / np.maximum(denom, 1e-300)).max())
+            assert math.isfinite(const)
+
 
 class TestFractionalIntegral:
     def test_closed_form_midpoint(self):
@@ -397,3 +413,15 @@ class TestSparseForms:
         fam = self._family(g, [(q, q.mask()), (q, q.mask())])
         with pytest.raises(DomainError):
             sparse_maximal_form(f, fam, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (4096,), (1, 1), (8, 8), (64, 64)])
+def test_tripled_sums_matches_padded_sum(shape):
+    # same 3^n terms in the same row-major offset order as an np.pad form,
+    # so the sums agree bit for bit
+    block = np.random.default_rng(len(shape) * 7 + shape[0]).uniform(0.0, 1.0, shape)
+    padded = np.pad(block, 1)
+    expect = np.zeros_like(block)
+    for offset in itertools.product(range(3), repeat=block.ndim):
+        expect += padded[tuple(slice(d, d + m) for d, m in zip(offset, block.shape))]
+    assert np.array_equal(_windows.tripled_sums(block), expect)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -214,7 +212,6 @@ class TestDomination:
             res = build_sparse_integral(f, alpha, g.root())
             dom = verify_domination_integral(f, alpha, res)
             assert dom.provable_ok, f"seed {seed}: {dom.explicit_constant} > {dom.provable_bound}"
-            assert math.isfinite(dom.outer_constant)
 
     def test_integral_bare_factor_fails_on_bump(self):
         # an indicator bump of width 1/8 inside an interior base breaks the
